@@ -16,8 +16,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/SandboxMonitor.h"
 #include "core/Verifier.h"
+#include "nacl/SandboxMonitor.h"
 #include "x86/FastDecoder.h"
 #include "x86/Printer.h"
 
@@ -146,7 +146,7 @@ int main() {
   sem::Cpu C;
   C.configureSandbox(0x10000, static_cast<uint32_t>(Attack.Code.size()),
                      0x400000, 0x10000, Attack.Code);
-  core::SandboxMonitor Mon(C, Fake, 0x10000,
+  nacl::SandboxMonitor Mon(C, Fake, 0x10000,
                            static_cast<uint32_t>(Attack.Code.size()));
   auto V = Mon.runMonitored(100);
   if (V)

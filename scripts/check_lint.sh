@@ -4,8 +4,8 @@
 # Runs clang-format in dry-run mode against .clang-format and clang-tidy
 # against .clang-tidy, over src/analysis/, regex/Algebra.*,
 # regex/FusedTables.* and regex/TableIO.*, the svc/Service +
-# svc/Protocol pair, src/incr/, the core/TableRegistry, and the MIPS
-# policy layer.
+# svc/Protocol pair, src/incr/, the core/TableRegistry and verify
+# driver, and the MIPS policy layer.
 #
 # The gate degrades gracefully: on machines without the clang tooling
 # (the CI container ships only gcc) it reports what it skipped and exits
@@ -32,6 +32,7 @@ $ROOT/src/regex/TableIO.h
 $ROOT/src/regex/TableIO.cpp
 $ROOT/src/core/TableRegistry.h
 $ROOT/src/core/TableRegistry.cpp
+$ROOT/src/core/ChainDriver.h
 $ROOT/src/mips/MipsPolicy.h
 $ROOT/src/mips/MipsPolicy.cpp
 $ROOT/src/svc/Protocol.h
@@ -117,6 +118,27 @@ else
   if [ "$STATUS" = 0 ]; then
     echo "ARCHITECTURE.md mentions every directory under src/"
   fi
+fi
+
+echo "== src/core/ include layering =="
+# rocksalt_core links the decoder grammars and the DFA pipeline, never
+# the semantics or anything above core: files under src/core/ may
+# include project headers from core/, regex/, grammar/, x86/ and
+# support/ only. Needs no tooling, so it always runs.
+LAYER_OK=1
+for F in "$ROOT"/src/core/*.h "$ROOT"/src/core/*.cpp; do
+  BAD="$(grep -n '^[[:space:]]*#[[:space:]]*include[[:space:]]*"' "$F" |
+    grep -v -E '"(core|regex|grammar|x86|support)/')"
+  if [ -n "$BAD" ]; then
+    echo "check_lint: $F includes a header outside" \
+         "core/ regex/ grammar/ x86/ support/:"
+    echo "$BAD"
+    LAYER_OK=0
+    STATUS=1
+  fi
+done
+if [ "$LAYER_OK" = 1 ]; then
+  echo "src/core/ includes only core/ regex/ grammar/ x86/ support/ headers"
 fi
 
 # RAN_ANY distinguishes "the source checks passed" from "no source check

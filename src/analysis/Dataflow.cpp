@@ -601,15 +601,15 @@ CfgLintResult analysis::lintCfg(RecoveredCfg &&Cfg, uint32_t Size,
   return R;
 }
 
-CfgLintResult analysis::lintImageFromShards(const core::PolicyTables &T,
+CfgLintResult analysis::lintImageFromShards(const core::FusedPolicy &P,
                                             const uint8_t *Code, uint32_t Size,
                                             uint32_t NumShards,
                                             svc::Metrics *M) {
   std::vector<core::ShardScan> Shards;
   core::partitionShards(Size, NumShards, Shards);
   for (core::ShardScan &S : Shards)
-    core::scanShard(T, Code, Size, S);
-  core::CheckResult C = core::mergeShardScans(T, Code, Size, Shards);
+    core::scanShard(P, Code, Size, S);
+  core::CheckResult C = core::mergeShardScans(P, Code, Size, Shards);
   return lintCfg(cfgFromCheck(Code, Size, C), Size, M);
 }
 

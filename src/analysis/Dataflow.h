@@ -253,8 +253,9 @@ CfgLintResult lintCfg(RecoveredCfg &&Cfg, uint32_t Size, svc::Metrics *M);
 
 /// Whole-image lint derived from the chunk-parallel scan/merge of
 /// core/Shard (\p NumShards fresh shard scans, seam-aware join), then
-/// the shared back half. Bit-identical to `lintImage` on every input.
-CfgLintResult lintImageFromShards(const core::PolicyTables &T,
+/// the shared back half. Bit-identical to `lintImage` over the tables
+/// \p P was fused from, on every input.
+CfgLintResult lintImageFromShards(const core::FusedPolicy &P,
                                   const uint8_t *Code, uint32_t Size,
                                   uint32_t NumShards,
                                   svc::Metrics *M = nullptr);

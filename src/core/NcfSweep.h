@@ -1,12 +1,11 @@
 //===- core/NcfSweep.h - The branchless NoControlFlow sweep ----*- C++ -*-===//
 ///
 /// \file
-/// The verify inner loop's fast lane, shared by the sequential entry
-/// points (core/Verifier.cpp) and the per-shard scan (core/Shard.cpp):
-/// from a chain position whose byte is non-exceptional, stream bytes
-/// through the fused table — one load per byte; restart rows
+/// The verify driver's second lane (core/ChainDriver.h): from a chain
+/// position whose byte is non-exceptional, stream bytes through the
+/// fused table — one load per byte; restart rows
 /// (regex/FusedTables.cpp pass 4) make instruction-boundary restarts
-/// free — recording instruction starts through a caller-supplied sink.
+/// free — recording instruction starts through the sink's `mark`.
 /// Exact: a non-exceptional start byte kills MaskedJump's and (modulo
 /// the safe-byte accept priority) DirectJump's first transitions, so
 /// the full Figure-5 step IS the NoControlFlow verdict there; the
@@ -44,13 +43,12 @@ enum class SweepStop {
 /// *stops* at starts, mirroring the Figure-5 loop's `Pos < Limit`
 /// condition. On ExcStart/Bound, *Pos is the stopping start; on
 /// CleanEnd, *Pos == Size. On Fail, *Pos is the failing instruction's
-/// start when \p TrackFailStart is set (the per-shard scan records it
-/// as StopPos, pinned against the legacy engine), untouched otherwise
-/// (the sequential callers only need the verdict).
+/// start when \p TrackFailStart is set (the shard sink records it as
+/// StopPos, pinned against the reference walk), untouched otherwise
+/// (the whole-image sinks only need the verdict).
 template <bool TrackFailStart, typename MarkFn>
-SweepStop ncfSweepImpl(const FusedPolicy &P, const uint8_t *Code,
-                       uint32_t Size, uint32_t Limit, uint32_t *Pos,
-                       MarkFn Mark) {
+SweepStop ncfSweep(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
+                   uint32_t Limit, uint32_t *Pos, MarkFn Mark) {
   const re::FusedTables &F = P.F;
   const uint8_t *Tr = F.Trans.data();
   const uint8_t *Exc = P.ExcByte.data();

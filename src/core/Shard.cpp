@@ -1,111 +1,59 @@
 //===- core/Shard.cpp - Chunk-parallel scan and seam-aware merge ----------===//
 //
-// The per-shard scan is the Figure-5 loop verbatim, started at a bundle
-// boundary; the merge replays the shards in chain order and re-checks
-// seams the chain crossed mid-instruction. See Shard.h for why this is
-// bit-identical to the sequential checker.
+// The per-shard scan is the verify driver (core/ChainDriver.h) started
+// at a bundle boundary with the shard sink; the merge replays the
+// shards in chain order and re-checks seams the chain crossed
+// mid-instruction. See Shard.h for why this is bit-identical to the
+// sequential checker.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Shard.h"
 
-#include "core/NcfSweep.h"
+#include "core/ChainDriver.h"
 
 using namespace rocksalt;
 using namespace rocksalt::core;
 
-void core::scanShard(const PolicyTables &T, const uint8_t *Code, uint32_t Size,
-                     ShardScan &S) {
-  uint32_t Pos = S.Begin;
-  while (Pos < S.End) {
-    S.ValidPos.push_back(Pos);
-    uint32_t Dest = 0;
-    switch (verifyStep(T, Code, &Pos, Size, &Dest)) {
-    case StepKind::MaskedJump:
-      // Jump half = last two bytes of the match (see MaskedJumpHalfLen).
-      S.PairJmpPos.push_back(Pos - MaskedJumpHalfLen);
-      break;
-    case StepKind::NoControlFlow:
-      break;
-    case StepKind::DirectJump:
-      S.TargetPos.push_back(Dest);
-      break;
-    case StepKind::Fail:
-      S.Failed = true;
-      S.StopPos = Pos;
-      return;
-    }
+namespace {
+
+/// The shard sink: ValidPos is written through a branchless cursor
+/// shared by all three lanes; targets and pair jumps are sparse and
+/// appended.
+struct ShardSink {
+  static constexpr bool TrackFailStart = true;
+  uint32_t *Dst;
+  size_t N;
+  ShardScan &S;
+
+  void run(uint32_t Begin, uint32_t End) {
+    for (uint32_t Q = Begin; Q < End; ++Q)
+      Dst[N++] = Q;
   }
-  S.StopPos = Pos;
-}
+  // The cursor stops advancing at mid-instruction bytes, so their dead
+  // writes all land just past the last start.
+  void mark(uint32_t Q, uint8_t IsStart) {
+    Dst[N] = Q;
+    N += IsStart;
+  }
+  void start(uint32_t Q) { Dst[N++] = Q; }
+  void pairJump(uint32_t Q) { S.PairJmpPos.push_back(Q); }
+  void target(uint32_t Dest) { S.TargetPos.push_back(Dest); }
+};
+
+} // namespace
 
 void core::scanShard(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                      ShardScan &S) {
-  uint32_t Pos = S.Begin;
-  // ValidPos is written through a branchless cursor shared by all three
-  // lanes, so allocate its upper bound once: at most one start per byte
-  // of [Begin, End), plus one slot absorbing the sweep's dead writes
-  // for an instruction straddling S.End (the cursor stops advancing at
-  // mid-instruction bytes, so they all land just past the last start).
+  // Allocate ValidPos's upper bound once: at most one start per byte of
+  // [Begin, End), plus one slot absorbing the sweep's dead writes for an
+  // instruction straddling S.End.
   S.ValidPos.resize(size_t(S.End - S.Begin) + 1);
-  uint32_t *Dst = S.ValidPos.data();
-  size_t N = 0;
-  while (Pos < S.End) {
-    // Run skipping, clamped to the shard limit: each safe byte is a
-    // one-byte NoControlFlow step for any suffix, so the fresh chain
-    // marks every position in the run and — when the run reaches S.End
-    // — stops exactly at S.End, just like the per-byte scan.
-    if (P.RunSkip && P.SafeByte[Code[Pos]]) {
-      uint32_t RunEnd = safeRunEnd(P, Code, Pos, S.End);
-      for (uint32_t Q = Pos; Q < RunEnd; ++Q)
-        Dst[N++] = Q;
-      Pos = RunEnd;
-      continue;
-    }
-    // The branchless NoControlFlow sweep (core/NcfSweep.h): every start
-    // it records lies in [Pos, S.End) — it stops at starts past the
-    // limit — and it records no targets or pair jumps (non-exceptional
-    // steps are NoControlFlow matches by construction), so the scan
-    // lists stay identical to the per-step loop's.
-    if (P.ExcByte[Code[Pos]] != 1) {
-      detail::SweepStop St = detail::ncfSweepImpl<true>(
-          P, Code, Size, S.End, &Pos, [Dst, &N](uint32_t Q, uint8_t IsStart) {
-            Dst[N] = Q;
-            N += IsStart;
-          });
-      switch (St) {
-      case detail::SweepStop::ExcStart:
-        break; // full chain handles the exceptional start below
-      case detail::SweepStop::Bound:
-      case detail::SweepStop::CleanEnd:
-        continue; // Pos >= S.End (or == Size): outer loop exits
-      case detail::SweepStop::Fail:
-        S.Failed = true;
-        S.StopPos = Pos; // the failing instruction's start
-        S.ValidPos.resize(N);
-        return;
-      }
-    }
-    Dst[N++] = Pos;
-    uint32_t Dest = 0;
-    switch (verifyStep(P, Code, &Pos, Size, &Dest)) {
-    case StepKind::MaskedJump:
-      S.PairJmpPos.push_back(Pos - MaskedJumpHalfLen);
-      break;
-    case StepKind::NoControlFlow:
-      break;
-    case StepKind::DirectJump:
-      S.TargetPos.push_back(Dest);
-      break;
-    case StepKind::Fail:
-      S.Failed = true;
-      S.StopPos = Pos;
-      S.ValidPos.resize(N);
-      return;
-    }
-  }
+  ShardSink K{S.ValidPos.data(), 0, S};
+  uint32_t Pos = S.Begin;
+  S.Failed = !driveChain<X86Isa>(P, Code, Size, S.End, &Pos, K);
   S.StopPos = Pos;
-  S.ValidPos.resize(N);
+  S.ValidPos.resize(K.N);
 #if defined(__GNUC__)
   // Seam prefetch: when the same worker goes on to scan (or the merge
   // goes on to replay) the adjacent shard, its first line is already
@@ -136,17 +84,6 @@ void core::partitionShards(uint32_t Size, uint32_t NumShards,
   }
 }
 
-CheckResult core::mergeShardScans(const PolicyTables &T, const uint8_t *Code,
-                                  uint32_t Size,
-                                  const std::vector<ShardScan> &Shards,
-                                  uint64_t *SeamRescans) {
-  std::vector<const ShardScan *> Ptrs;
-  Ptrs.reserve(Shards.size());
-  for (const ShardScan &S : Shards)
-    Ptrs.push_back(&S);
-  return mergeShardScans(T, Code, Size, Ptrs.data(), Ptrs.size(), SeamRescans);
-}
-
 CheckResult core::mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
                                   uint32_t Size,
                                   const std::vector<ShardScan> &Shards,
@@ -158,15 +95,10 @@ CheckResult core::mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
   return mergeShardScans(P, Code, Size, Ptrs.data(), Ptrs.size(), SeamRescans);
 }
 
-namespace {
-
-// One merge body serves both engines: verifyStep is overloaded on the
-// table type, so the seam re-check resolves to whichever engine the
-// caller merges with.
-template <typename Engine>
-CheckResult mergeImpl(const Engine &T, const uint8_t *Code, uint32_t Size,
-                      const ShardScan *const *Shards, size_t NumShards,
-                      uint64_t *SeamRescans) {
+CheckResult core::mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
+                                  uint32_t Size,
+                                  const ShardScan *const *Shards,
+                                  size_t NumShards, uint64_t *SeamRescans) {
   CheckResult R;
   R.Valid.assign(Size, 0);
   R.Target.assign(Size, 0);
@@ -180,12 +112,12 @@ CheckResult mergeImpl(const Engine &T, const uint8_t *Code, uint32_t Size,
     if (I < N && Shards[I]->Begin == Pos) {
       // In sync: this shard's fresh scan is the sequential chain.
       const ShardScan &S = *Shards[I++];
-      for (uint32_t P : S.ValidPos)
-        R.Valid[P] = 1;
-      for (uint32_t P : S.TargetPos)
-        R.Target[P] = 1;
-      for (uint32_t P : S.PairJmpPos)
-        R.PairJmp[P] = 1;
+      for (uint32_t Q : S.ValidPos)
+        R.Valid[Q] = 1;
+      for (uint32_t Q : S.TargetPos)
+        R.Target[Q] = 1;
+      for (uint32_t Q : S.PairJmpPos)
+        R.PairJmp[Q] = 1;
       if (S.Failed) {
         R.Ok = false;
         R.Reason = RejectReason::NoParse;
@@ -200,7 +132,7 @@ CheckResult mergeImpl(const Engine &T, const uint8_t *Code, uint32_t Size,
         ++*SeamRescans;
       R.Valid[Pos] = 1;
       uint32_t Dest = 0;
-      switch (verifyStep(T, Code, &Pos, Size, &Dest)) {
+      switch (verifyStep(P, Code, &Pos, Size, &Dest)) {
       case StepKind::MaskedJump:
         R.PairJmp[Pos - MaskedJumpHalfLen] = 1;
         break;
@@ -224,18 +156,3 @@ CheckResult mergeImpl(const Engine &T, const uint8_t *Code, uint32_t Size,
   return R;
 }
 
-} // namespace
-
-CheckResult core::mergeShardScans(const PolicyTables &T, const uint8_t *Code,
-                                  uint32_t Size,
-                                  const ShardScan *const *Shards,
-                                  size_t NumShards, uint64_t *SeamRescans) {
-  return mergeImpl(T, Code, Size, Shards, NumShards, SeamRescans);
-}
-
-CheckResult core::mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
-                                  uint32_t Size,
-                                  const ShardScan *const *Shards,
-                                  size_t NumShards, uint64_t *SeamRescans) {
-  return mergeImpl(P, Code, Size, Shards, NumShards, SeamRescans);
-}

@@ -6,21 +6,22 @@
 /// instruction start (that is exactly the bundle check of Figure 5), so
 /// a scan started fresh at a bundle-aligned shard base follows the same
 /// match chain the sequential verifier would. Each shard is scanned
-/// independently (`scanShard`) and the per-shard results are joined
+/// independently (`scanShard`, the verify driver of core/ChainDriver.h
+/// with the shard sink) and the per-shard results are joined
 /// sequentially (`mergeShardScans`).
 ///
 /// Rejected images are where the care goes: the sequential chain may
 /// cross a shard seam mid-instruction, in which case the downstream
 /// shard's fresh scan diverges from the sequential one. The merge
 /// detects this (the consumed shard's stop position overshoots the next
-/// shard base) and falls back to re-running `verifyStep` from the exact
-/// overshoot position until the chain re-synchronizes with a later shard
-/// base, discarding the desynchronized shards' results. The result is
-/// therefore *bit-identical* to `RockSalt::check` — same verdict, same
-/// Valid/Target/PairJmp bitmaps, same reject reason — on every input,
-/// which is what keeps the paper's soundness argument intact: the
-/// parallel service is an implementation of the same checker function,
-/// not a new checker.
+/// shard base) and falls back to re-running the fused `verifyStep` from
+/// the exact overshoot position until the chain re-synchronizes with a
+/// later shard base, discarding the desynchronized shards' results. The
+/// result is therefore *bit-identical* to `RockSalt::check` — same
+/// verdict, same Valid/Target/PairJmp bitmaps, same reject reason — on
+/// every input, which is what keeps the paper's soundness argument
+/// intact: the parallel service is an implementation of the same
+/// checker function, not a new checker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,18 +64,14 @@ struct ShardScan {
 
 /// Runs the Figure-5 chain from S.Begin while the position is < S.End;
 /// a final match may overrun past End (StopPos records where the chain
-/// actually stopped). Marks exactly the positions the sequential scan
-/// would mark on the same chain, including Valid at a failing position.
-void scanShard(const PolicyTables &T, const uint8_t *Code, uint32_t Size,
-               ShardScan &S);
-
-/// Fused-engine shard scan: identical positions and stop behavior to
-/// the legacy overload, with the run-skipping fast path for safe-byte
-/// runs (clamped to S.End — each safe byte is a one-byte step, so the
-/// fresh chain stops exactly where the per-byte scan would) and a
-/// prefetch of the next shard's first line across the seam. Wide loads
-/// never read at or past S.End, so the chunk cache's scan-window
-/// contract (incr/ChunkCache.h) is untouched.
+/// actually stopped, or the failing instruction's start). Marks exactly
+/// the positions the sequential scan would mark on the same chain,
+/// including Valid at a failing position. Run skipping is clamped to
+/// S.End (each safe byte is a one-byte step, so the fresh chain stops
+/// exactly where the per-step scan would) and wide loads never read at
+/// or past S.End, so the chunk cache's scan-window contract
+/// (incr/ChunkCache.h) is untouched. The next shard's first line is
+/// prefetched across the seam.
 void scanShard(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                ShardScan &S);
 
@@ -86,12 +83,13 @@ void partitionShards(uint32_t Size, uint32_t NumShards,
 
 /// The sequential join: replays the shard chain in order, re-checking
 /// seams where a shard's chain overran its limit (masked-jump pairs or
-/// direct jumps straddling a shard boundary) by stepping `verifyStep`
-/// from the overshoot position until it lands exactly on a later shard
-/// base. Produces a CheckResult bit-identical to `RockSalt::check`.
-/// \p SeamRescans, when non-null, is incremented once per verifyStep
-/// executed during seam re-checking (a service metric).
-CheckResult mergeShardScans(const PolicyTables &T, const uint8_t *Code,
+/// direct jumps straddling a shard boundary) by stepping the fused
+/// `verifyStep` from the overshoot position until it lands exactly on a
+/// later shard base. Produces a CheckResult bit-identical to
+/// `RockSalt::check`. \p SeamRescans, when non-null, is incremented
+/// once per verifyStep executed during seam re-checking (a service
+/// metric).
+CheckResult mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
                             uint32_t Size, const std::vector<ShardScan> &Shards,
                             uint64_t *SeamRescans = nullptr);
 
@@ -99,16 +97,6 @@ CheckResult mergeShardScans(const PolicyTables &T, const uint8_t *Code,
 /// caller keeps them (the incremental verifier merges a mix of cached
 /// and freshly scanned chunks held behind shared_ptrs). Identical
 /// semantics; the vector overload delegates here.
-CheckResult mergeShardScans(const PolicyTables &T, const uint8_t *Code,
-                            uint32_t Size, const ShardScan *const *Shards,
-                            size_t NumShards, uint64_t *SeamRescans = nullptr);
-
-/// Fused-engine joins: same seam-aware replay, with seam re-checks
-/// stepping the fused verifyStep. Mixing engines between scan and merge
-/// is fine — both produce the sequential chain's positions.
-CheckResult mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
-                            uint32_t Size, const std::vector<ShardScan> &Shards,
-                            uint64_t *SeamRescans = nullptr);
 CheckResult mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
                             uint32_t Size, const ShardScan *const *Shards,
                             size_t NumShards, uint64_t *SeamRescans = nullptr);

@@ -1,40 +1,17 @@
-//===- core/Verifier.cpp - The trusted checker core ------------*- C++ -*-===//
+//===- core/Verifier.cpp - The checker's entry points ----------*- C++ -*-===//
 //
-// This file is the run-time trusted computing base of the checker, kept
-// deliberately close to the C of the paper's Figures 5 and 6. The
-// `extractTarget` helper is the paper's `extract`: it reads the relative
-// displacement out of a just-matched DirectJump instruction and marks the
-// target.
-//
-// `verifyStep` factors one iteration of the Figure-5 loop out of
-// `verifyImage` so that the chunk-parallel verifier (core/Shard.h) can
-// run the identical chain from any resume position; the sequential
-// entry points below are thin loops over it.
-//
-// Both engines live here. The legacy overloads (PolicyTables&) walk the
-// three separate uint16-id tables per byte — the paper's C, verbatim —
-// and survive as the differential reference (`checkLegacy`). The fused
-// overloads (FusedPolicy&) make the identical decisions over the
-// 18.75 KiB fused 8-bit array, with four exact accelerations: the
-// chain-safe one-byte fast return, the MjAliveByte gate that skips the
-// MaskedJump walk when its first transition already rejects, the
-// run-skipping scan (`safeRunEnd`) that marks whole safe-byte runs
-// valid without entering the chain at all, and the branchless
-// NoControlFlow sweep (`ncfSweep`) that streams every non-exceptional
-// stretch through the single fused table with one load per byte —
-// restart rows make instruction-boundary restarts free — handing back
-// to the full Figure-5 chain only at ExcByte-flagged starts. DESIGN.md
-// section 15 states the equivalence argument; the fuzz harness's
-// `--fused` mode and tests/fused_tables_test.cpp enforce it
-// bit-for-bit.
+// The x86 entry points declared in Verifier.h, each an instance of the
+// one Figure-5 chain in core/ChainDriver.h: the reference walk over the
+// three separate tables, and the production driver over the fused
+// array. DESIGN.md section 15 states why the two decide identically;
+// the fuzz harness's `--fused` mode and tests/fused_tables_test.cpp
+// enforce it bit-for-bit.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Verifier.h"
 
-#include "core/NcfSweep.h"
-
-#include <algorithm>
+#include "core/ChainDriver.h"
 
 using namespace rocksalt;
 using namespace rocksalt::core;
@@ -60,76 +37,14 @@ bool core::dfaMatch(const re::Dfa &A, const uint8_t *Code, uint32_t *Pos,
   return false;
 }
 
-namespace {
-
-/// The paper's `extract`: pulls the pc-relative displacement out of the
-/// DirectJump instruction spanning [Start, End). Returns false when the
-/// destination lies outside [0, Size).
-bool extractTarget(const uint8_t *Code, uint32_t Start, uint32_t End,
-                   uint32_t Size, uint32_t *TargetOut) {
-  uint8_t B0 = Code[Start];
-  int32_t Disp;
-  if (B0 == 0xEB || (B0 >= 0x70 && B0 <= 0x7F)) {
-    Disp = static_cast<int8_t>(Code[End - 1]);
-  } else {
-    // E8/E9 rel32 or 0F 8x rel32: the displacement is the last 4 bytes.
-    uint32_t Raw = uint32_t(Code[End - 4]) | (uint32_t(Code[End - 3]) << 8) |
-                   (uint32_t(Code[End - 2]) << 16) |
-                   (uint32_t(Code[End - 1]) << 24);
-    Disp = static_cast<int32_t>(Raw);
-  }
-  int64_t Dest = int64_t(End) + Disp;
-  if (Dest < 0 || Dest >= int64_t(Size))
-    return false;
-  *TargetOut = static_cast<uint32_t>(Dest);
-  return true;
-}
-
-} // namespace
-
 StepKind core::verifyStep(const PolicyTables &T, const uint8_t *Code,
                           uint32_t *Pos, uint32_t Size, uint32_t *TargetOut) {
-  uint32_t SavedPos = *Pos;
-  if (dfaMatch(T.MaskedJump, Code, Pos, Size))
-    return StepKind::MaskedJump;
-  if (dfaMatch(T.NoControlFlow, Code, Pos, Size))
-    return StepKind::NoControlFlow;
-  if (dfaMatch(T.DirectJump, Code, Pos, Size)) {
-    if (extractTarget(Code, SavedPos, *Pos, Size, TargetOut))
-      return StepKind::DirectJump;
-    *Pos = SavedPos;
-  }
-  return StepKind::Fail;
+  return referenceStep<X86Isa>(T, Code, Pos, Size, TargetOut);
 }
 
 StepKind core::verifyStep(const FusedPolicy &P, const uint8_t *Code,
                           uint32_t *Pos, uint32_t Size, uint32_t *TargetOut) {
-  uint32_t SavedPos = *Pos;
-  if (SavedPos < Size) {
-    uint8_t B0 = Code[SavedPos];
-    // Chain-safe byte: MaskedJump's first transition rejects and
-    // NoControlFlow's accepts, so the whole chain step is decided here
-    // — "NoControlFlow, length 1" — for any suffix.
-    if (P.SafeByte[B0]) {
-      ++*Pos;
-      return StepKind::NoControlFlow;
-    }
-    // MjAliveByte gate: when MaskedJump's first transition on B0 is a
-    // reject, dfaMatch over it returns false after one step — skip the
-    // walk entirely. Exact: an alive first transition (continue OR
-    // accept) still takes the full fused walk.
-    if (P.MjAliveByte[B0] &&
-        re::fusedMatch(P.F, FusedMaskedJump, Code, Pos, Size))
-      return StepKind::MaskedJump;
-  }
-  if (re::fusedMatch(P.F, FusedNoControlFlow, Code, Pos, Size))
-    return StepKind::NoControlFlow;
-  if (re::fusedMatch(P.F, FusedDirectJump, Code, Pos, Size)) {
-    if (extractTarget(Code, SavedPos, *Pos, Size, TargetOut))
-      return StepKind::DirectJump;
-    *Pos = SavedPos;
-  }
-  return StepKind::Fail;
+  return chainStep<X86Isa>(P, Code, Pos, Size, TargetOut);
 }
 
 const char *core::rejectReasonName(RejectReason R) {
@@ -202,71 +117,32 @@ bool core::verifyImage(const PolicyTables &T, const uint8_t *Code,
 
 namespace {
 
-using detail::SweepStop;
+/// The verdict sink: the Valid bitmap plus the direct-jump destinations.
+/// Direct jumps are sparse, so a destination list beats a second
+/// image-sized bitmap (no 1 MiB clear, no full-image final pass).
+struct VerdictSink : ValidBitmapSink {
+  std::vector<uint32_t> Targets;
 
-/// The sequential entry points' form of the sweep (core/NcfSweep.h):
-/// whole-image limit, instruction starts marked into the \p Valid
-/// bitmap, no fail-position tracking (the callers only need the
-/// verdict). Never returns SweepStop::Bound.
-SweepStop ncfSweep(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
-                   uint32_t *Pos, uint8_t *Valid) {
-  return detail::ncfSweepImpl<false>(
-      P, Code, Size, Size, Pos,
-      [Valid](uint32_t Q, uint8_t IsStart) { Valid[Q] = IsStart; });
-}
+  void pairJump(uint32_t) {}
+  void target(uint32_t Dest) { Targets.push_back(Dest); }
+};
 
 } // namespace
 
 bool core::verifyImage(const FusedPolicy &P, const uint8_t *Code,
                        uint32_t Size) {
-  uint32_t Pos = 0;
   std::vector<uint8_t> Valid(Size, 0);
-  // Direct jumps are sparse; a destination list beats a second
-  // image-sized bitmap (no 1 MiB clear, no full-image final pass).
-  std::vector<uint32_t> Targets;
-
-  while (Pos < Size) {
-    uint8_t B0 = Code[Pos];
-    // Run skipping: a run of chain-safe bytes is a sequence of one-byte
-    // NoControlFlow steps whatever follows it, so every position in the
-    // run is an instruction start — mark wholesale and jump past.
-    if (P.RunSkip && P.SafeByte[B0]) {
-      uint32_t End = safeRunEnd(P, Code, Pos, Size);
-      std::fill(Valid.begin() + Pos, Valid.begin() + End, uint8_t(1));
-      Pos = End;
-      continue;
-    }
-    if (P.ExcByte[B0] != 1) {
-      switch (ncfSweep(P, Code, Size, &Pos, Valid.data())) {
-      case SweepStop::ExcStart:
-        break; // full chain handles the exceptional start below
-      case SweepStop::Bound:   // unreachable: Limit == Size
-      case SweepStop::CleanEnd:
-        continue; // Pos == Size: outer loop exits
-      case SweepStop::Fail:
-        return false;
-      }
-    }
-    Valid[Pos] = 1;
-    uint32_t Dest = 0;
-    switch (verifyStep(P, Code, &Pos, Size, &Dest)) {
-    case StepKind::MaskedJump:
-    case StepKind::NoControlFlow:
-      break;
-    case StepKind::DirectJump:
-      Targets.push_back(Dest);
-      break;
-    case StepKind::Fail:
-      return false;
-    }
-  }
+  VerdictSink K{{Valid.data()}, {}};
+  uint32_t Pos = 0;
+  if (!driveChain<X86Isa>(P, Code, Size, Size, &Pos, K))
+    return false;
 
   uint8_t Aligned = 1;
   for (uint32_t I = 0; I < Size; I += BundleSize)
     Aligned &= Valid[I];
   if (!Aligned)
     return false;
-  for (uint32_t T : Targets)
+  for (uint32_t T : K.Targets)
     if (!Valid[T])
       return false;
   return true;
@@ -274,92 +150,9 @@ bool core::verifyImage(const FusedPolicy &P, const uint8_t *Code,
 
 CheckResult core::checkLegacy(const PolicyTables &T, const uint8_t *Code,
                               uint32_t Size) {
-  CheckResult R;
-  R.Valid.assign(Size, 0);
-  R.Target.assign(Size, 0);
-  R.PairJmp.assign(Size, 0);
-
-  uint32_t Pos = 0;
-  while (Pos < Size) {
-    R.Valid[Pos] = 1;
-    uint32_t Dest = 0;
-    switch (verifyStep(T, Code, &Pos, Size, &Dest)) {
-    case StepKind::MaskedJump:
-      // The jump half is the last two bytes of the matched pair,
-      // whatever the mask half's length.
-      R.PairJmp[Pos - MaskedJumpHalfLen] = 1;
-      break;
-    case StepKind::NoControlFlow:
-      break;
-    case StepKind::DirectJump:
-      R.Target[Dest] = 1;
-      break;
-    case StepKind::Fail:
-      R.Ok = false;
-      R.Reason = RejectReason::NoParse;
-      return R;
-    }
-  }
-
-  finalizeCheck(R);
-  return R;
+  return referenceCheck<X86Isa>(T, Code, Size);
 }
 
 CheckResult RockSalt::check(const uint8_t *Code, uint32_t Size) const {
-  CheckResult R;
-  R.Valid.assign(Size, 0);
-  R.Target.assign(Size, 0);
-  R.PairJmp.assign(Size, 0);
-
-  const FusedPolicy &P = Fused;
-  uint32_t Pos = 0;
-  while (Pos < Size) {
-    uint8_t B0 = Code[Pos];
-    // Safe-byte runs: a run never contains a masked-jump pair or a
-    // direct jump (both classes are excluded from SafeByte by
-    // construction), so PairJmp/Target stay untouched across it.
-    if (P.RunSkip && P.SafeByte[B0]) {
-      uint32_t End = safeRunEnd(P, Code, Pos, Size);
-      std::fill(R.Valid.begin() + Pos, R.Valid.begin() + End, uint8_t(1));
-      Pos = End;
-      continue;
-    }
-    // The branchless NoControlFlow sweep covers every step the full
-    // chain could only ever resolve as NoControlFlow; it never touches
-    // PairJmp/Target, so the instrumented result is identical.
-    if (P.ExcByte[B0] != 1) {
-      switch (ncfSweep(P, Code, Size, &Pos, R.Valid.data())) {
-      case SweepStop::ExcStart:
-        break;
-      case SweepStop::Bound:   // unreachable: Limit == Size
-      case SweepStop::CleanEnd:
-        continue;
-      case SweepStop::Fail:
-        R.Ok = false;
-        R.Reason = RejectReason::NoParse;
-        return R;
-      }
-    }
-    R.Valid[Pos] = 1;
-    uint32_t Dest = 0;
-    switch (verifyStep(P, Code, &Pos, Size, &Dest)) {
-    case StepKind::MaskedJump:
-      // The jump half is the last two bytes of the matched pair,
-      // whatever the mask half's length.
-      R.PairJmp[Pos - MaskedJumpHalfLen] = 1;
-      break;
-    case StepKind::NoControlFlow:
-      break;
-    case StepKind::DirectJump:
-      R.Target[Dest] = 1;
-      break;
-    case StepKind::Fail:
-      R.Ok = false;
-      R.Reason = RejectReason::NoParse;
-      return R;
-    }
-  }
-
-  finalizeCheck(R);
-  return R;
+  return checkImage<X86Isa>(Fused, Code, Size);
 }

@@ -2,20 +2,23 @@
 ///
 /// \file
 /// The RockSalt verifier: a direct port of the paper's Figures 5 and 6.
-/// The run-time trusted computing base is the table-walking code below;
-/// everything interesting lives in the generated DFA tables
-/// (core/Policy.h).
+/// The run-time trusted computing base is table-walking code; everything
+/// interesting lives in the generated DFA tables (core/Policy.h).
 ///
-/// Two engines implement the same Figure-5 decision procedure:
+/// The Figure-5 chain is written once, in core/ChainDriver.h, generic
+/// over ISA traits and over a sink that decides what gets recorded.
+/// This header declares the x86 entry points built from it:
 ///
-///  * the **legacy** engine — `dfaMatch` over the three separate
-///    uint16-id tables, per byte, exactly the C of the paper's
-///    Figure 6. Kept as the differential reference (`checkLegacy`);
+///  * the **reference walk** — `dfaMatch` per table per byte over the
+///    three separate uint16-id tables, exactly the C of the paper's
+///    Figure 6 (`verifyStep`/`verifyImage`/`checkLegacy` over
+///    PolicyTables). It is the differential reference;
 ///
-///  * the **fused** engine — one L1-resident 8-bit transition array
-///    (core::FusedPolicy) with a run-skipping fast path for the
-///    straight-line common case. This is what `RockSalt`, the parallel
-///    verifier, and the incremental verifier drive in production.
+///  * the **production driver** — one L1-resident 8-bit transition
+///    array (core::FusedPolicy) walked in three lanes: safe-byte run
+///    skipping, the branchless NoControlFlow sweep, and the full chain
+///    step (`verifyStep`/`verifyImage` over FusedPolicy, and
+///    `RockSalt`). The parallel and incremental verifiers drive it too.
 ///
 /// The two are certified bit-identical (verdict, reject reason, and the
 /// Valid/Target/PairJmp bitmaps) by tests/fused_tables_test.cpp and the
@@ -56,7 +59,7 @@ enum class StepKind : uint8_t { MaskedJump, NoControlFlow, DirectJump, Fail };
 /// the extracted pc-relative destination is stored in *TargetOut (a step
 /// whose destination lies outside [0, Size) fails instead, like the
 /// paper's `extract`). On Fail leaves *Pos unchanged. This is the
-/// resumable entry point the chunk-parallel verifier shards on.
+/// reference walk's step; the lint's CFG recovery walks it too.
 StepKind verifyStep(const PolicyTables &T, const uint8_t *Code, uint32_t *Pos,
                     uint32_t Size, uint32_t *TargetOut);
 
@@ -64,16 +67,14 @@ StepKind verifyStep(const PolicyTables &T, const uint8_t *Code, uint32_t *Pos,
 /// policy.
 bool verifyImage(const PolicyTables &T, const uint8_t *Code, uint32_t Size);
 
-/// Fused-engine verifyStep: the identical Figure-5 chain over the fused
-/// transition array. Bit-identical decisions and *Pos movement to the
-/// legacy overload above — the chain-safe fast return and the
-/// MjAliveByte gate are exact consequences of the start-state rows
-/// (core/Policy.h). This is the resumable entry point the fused shard
-/// scanner and the incremental verifier drive.
+/// The production driver's chain step over the fused transition array.
+/// Bit-identical decisions and *Pos movement to the reference overload
+/// above. This is the step the shard merge and the incremental verifier
+/// replay seams with.
 StepKind verifyStep(const FusedPolicy &P, const uint8_t *Code, uint32_t *Pos,
                     uint32_t Size, uint32_t *TargetOut);
 
-/// Fused-engine Figure 5 with the run-skipping fast path.
+/// Figure 5 through the production driver (verdict sink).
 bool verifyImage(const FusedPolicy &P, const uint8_t *Code, uint32_t Size);
 
 /// Run skipping: scans forward from \p Pos while bytes stay in the
@@ -131,20 +132,18 @@ struct CheckResult {
 /// direct-jump target and every bundle boundary must be an instruction
 /// start. Sets R.Ok and R.Reason (assumes the scan itself succeeded;
 /// scan failures set NoParse before reaching this). \p Bundle must be
-/// a power of two; it defaults to the x86 policy's 32 and is
-/// parameterized so other ISAs' checkers (mips/MipsPolicy.h, bundle
-/// 16) can reuse the pass.
+/// a power of two: the ISA traits' bundle size (x86 32, MIPS 16).
 void finalizeCheck(CheckResult &R, uint32_t Bundle = BundleSize);
 
-/// The instrumented check over the LEGACY engine (three separate
+/// The instrumented check over the reference walk (three separate
 /// uint16-id tables, per-byte dfaMatch). This is the differential
-/// reference the fused engine is certified against; the fuzz harness's
-/// `--fused` mode runs it in lockstep with RockSalt::check on every
-/// image and demands bit-identical results.
+/// reference the production driver is certified against; the fuzz
+/// harness's `--fused` mode runs it in lockstep with RockSalt::check on
+/// every image and demands bit-identical results.
 CheckResult checkLegacy(const PolicyTables &T, const uint8_t *Code,
                         uint32_t Size);
 
-/// The checker with its cached tables. Drives the fused engine; the
+/// The checker with its cached tables. Drives the fused tables; the
 /// default constructor shares the process-wide fused singleton, the
 /// FusedPolicy constructor borrows a caller-owned fused form (what the
 /// long-lived services hold), and the PolicyTables constructor fuses a

@@ -14,11 +14,12 @@
 /// (long-lived images mutated in place); --lint to the three-engine
 /// lint differential, holding the sequential, shard-derived, and
 /// incrementally maintained lint of every mutated image to
-/// byte-identical rendered reports; --fused to the fused-vs-legacy
-/// engine lockstep that certifies the cache-resident fused transition
-/// array (and its run-skipping fast path) bit-identical to the paper's
-/// three-table per-byte checker on every mutated image, sequentially
-/// and through the shard scan/merge under rotating shard counts.
+/// byte-identical rendered reports; --fused to the fused-vs-reference
+/// lockstep that certifies the production verify driver (fused
+/// transition array, run skipping, NoControlFlow sweep) bit-identical
+/// to the paper's three-table per-byte walk on every mutated image —
+/// x86 sequentially and through the shard scan/merge under rotating
+/// shard counts, MIPS through checkMips.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +28,11 @@
 #include "core/Verifier.h"
 #include "fuzz/Corpus.h"
 #include "fuzz/Minimizer.h"
+#include "fuzz/MipsGen.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/StructuredMutator.h"
 #include "incr/IncrementalVerifier.h"
+#include "mips/MipsPolicy.h"
 #include "nacl/WorkloadGen.h"
 #include "svc/Metrics.h"
 
@@ -55,7 +58,7 @@ struct CliOptions {
   bool RunParallel = true;
   bool Patches = false;    ///< incremental-vs-full patch differential mode
   bool LintDiff = false;   ///< three-engine lint differential mode
-  bool FusedDiff = false;  ///< fused-vs-legacy engine lockstep mode
+  bool FusedDiff = false;  ///< fused-vs-reference lockstep mode
   uint64_t Images = 500;   ///< --patches/--lint: number of base images
   uint64_t Steps = 20;     ///< --patches/--lint: patch steps per image
 };
@@ -77,10 +80,11 @@ void usage(const char *Argv0) {
       "            the shard-derived lint (rotating shard counts), and\n"
       "            the incremental linter must render byte-identical\n"
       "            reports for every mutated image\n"
-      "  --fused   fused-vs-legacy lockstep: the fused cache-resident\n"
-      "            engine (RockSalt::check, bare verifyImage, and the\n"
-      "            fused shard scan+merge under rotating shard counts)\n"
-      "            must reproduce the legacy three-table checker's full\n"
+      "  --fused   fused-vs-reference lockstep: the fused verify driver\n"
+      "            (RockSalt::check, bare verifyImage, and the fused\n"
+      "            shard scan+merge under rotating shard counts; for\n"
+      "            MIPS images from the same seeds, checkMips) must\n"
+      "            reproduce the reference three-table walk's full\n"
       "            instrumented result on every mutated image\n",
       Argv0);
 }
@@ -275,6 +279,7 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
 /// diagnostic counts — the coverage signal for the lint-directed kinds.
 int runLintDifferential(const CliOptions &O, svc::Metrics &M) {
   const core::PolicyTables &T = core::policyTables();
+  const core::FusedPolicy &FP = core::fusedPolicyTables();
   static const uint32_t ChunkRotation[] = {512, 32, 256, 1024};
   static const uint32_t ShardRotation[] = {1, 2, 3, 5, 8};
   static const fuzz::PatchKind AllKinds[] = {
@@ -349,7 +354,7 @@ int runLintDifferential(const CliOptions &O, svc::Metrics &M) {
       uint32_t Shards =
           ShardRotation[(I + Step) % std::size(ShardRotation)];
       analysis::CfgLintResult Shd = analysis::lintImageFromShards(
-          T, Bytes.data(), uint32_t(Bytes.size()), Shards, &M);
+          FP, Bytes.data(), uint32_t(Bytes.size()), Shards, &M);
       ++Compared;
       if (Shd.render() != SeqRender || Shd.Errors != Seq.Errors ||
           Shd.Warnings != Seq.Warnings || Shd.Notes != Seq.Notes)
@@ -380,25 +385,41 @@ int runLintDifferential(const CliOptions &O, svc::Metrics &M) {
   return Disagreements ? 1 : 0;
 }
 
-/// The fused-vs-legacy engine lockstep: every mutated image runs
-/// through the legacy three-table per-byte checker (`checkLegacy`, the
-/// reference) and through the fused engine three ways — the sequential
-/// instrumented check, the bare Figure-5 boolean, and the fused shard
-/// scan + seam-aware merge under rotating shard counts (so run skipping
-/// is exercised against shard limits, not just image ends). All fused
-/// results must be bit-identical to the reference: verdict, reject
-/// reason, and the Valid/Target/PairJmp bitmaps. A quarter of the
-/// iterations tail-truncate the image to a non-bundle-multiple size so
-/// the run-skip tail and truncated-instruction rejects stay in the
-/// loop.
+/// Truncates a copy of \p Img by 1..Bundle-1 bytes when it is longer
+/// than one bundle, so the image ends mid-bundle and usually
+/// mid-instruction.
+std::vector<uint8_t> truncateTail(std::vector<uint8_t> Img, uint32_t Bundle,
+                                  Rng &R) {
+  if (Img.size() > Bundle)
+    Img.resize(Img.size() - 1 - R.below(Bundle - 1));
+  return Img;
+}
+
+/// The fused-vs-reference lockstep for both ISAs. Every mutated x86
+/// image runs through the reference walk (`checkLegacy`) and through
+/// the production driver three ways — the sequential instrumented
+/// check, the bare Figure-5 boolean, and the fused shard scan +
+/// seam-aware merge under rotating shard counts (so run skipping is
+/// exercised against shard limits, not just image ends). Every MIPS
+/// image (fuzz/MipsGen.h, same seed and iteration) runs through
+/// `checkMipsReference` and the fused `checkMips`. All fused results
+/// must be bit-identical to the reference: verdict, reject reason, and
+/// the Valid/Target/PairJmp bitmaps. A quarter of the iterations
+/// tail-truncate the image to a non-bundle-multiple size so the
+/// run-skip tail and truncated-instruction rejects stay in the loop.
 int runFusedDifferential(const CliOptions &O, svc::Metrics &M) {
   const core::PolicyTables &T = core::policyTables();
   const core::FusedPolicy &FP = core::fusedPolicyTables();
+  const core::PolicyTables &MipsT = *mips::mipsTableEntry().Tables;
   core::RockSalt Fused(FP);
   static const uint32_t ShardRotation[] = {1, 2, 3, 5, 8};
+  // Separates the MIPS Rng streams from the x86 ones of the same
+  // (seed, iteration).
+  const uint64_t MipsStream = 0x3195ull;
 
   uint64_t Disagreements = 0;
   uint64_t ImagesRun = 0;
+  uint64_t MipsAccepted = 0; // one MIPS image per x86 image
   std::vector<core::ShardScan> Shards; // reused scratch
 
   auto ReportFusedDiff = [&](uint64_t Seed, uint64_t Iter, const char *Path,
@@ -423,20 +444,39 @@ int runFusedDifferential(const CliOptions &O, svc::Metrics &M) {
     WO.Seed = WorkloadSeed;
     std::vector<uint8_t> Base = nacl::generateWorkload(WO);
     std::vector<uint8_t> Cur = Base;
+    Rng MipsGenRng(mutationSeed(WorkloadSeed, 0) ^ MipsStream);
+    std::vector<uint8_t> MipsBase = fuzz::generateMipsImage(O.Size, MipsGenRng);
+    std::vector<uint8_t> MipsCur = MipsBase;
 
     for (uint64_t Iter = 0; Iter <= O.Iters; ++Iter) {
       if (Iter) {
-        if (Iter % 8 == 1)
+        if (Iter % 8 == 1) {
           Cur = Base;
+          MipsCur = MipsBase;
+        }
         Rng MutRng(mutationSeed(WorkloadSeed, Iter));
         Cur = fuzz::mutateStructured(Cur, MutRng);
+        Rng MipsRng(mutationSeed(WorkloadSeed, Iter) ^ MipsStream);
+        MipsCur = fuzz::mutateMipsImage(MipsCur, MipsRng);
       }
-      std::vector<uint8_t> Img = Cur;
       Rng JitRng(mutationSeed(WorkloadSeed, Iter) ^ 0xF05EDull);
-      if (Iter % 4 == 3 && Img.size() > core::BundleSize)
-        Img.resize(Img.size() - 1 - JitRng.below(core::BundleSize - 1));
+      bool Truncate = Iter % 4 == 3;
+      std::vector<uint8_t> Img =
+          Truncate ? truncateTail(Cur, core::BundleSize, JitRng) : Cur;
       uint32_t Size = uint32_t(Img.size());
       ++ImagesRun;
+
+      std::vector<uint8_t> MipsImg =
+          Truncate ? truncateTail(MipsCur, mips::MipsBundleSize, JitRng)
+                   : MipsCur;
+      core::CheckResult MipsRef = mips::checkMipsReference(
+          MipsT, MipsImg.data(), uint32_t(MipsImg.size()));
+      MipsAccepted += MipsRef.Ok;
+      std::string MipsDiff = comparePatchVerdicts(
+          mips::checkMips(MipsImg.data(), uint32_t(MipsImg.size())), MipsRef);
+      if (!MipsDiff.empty())
+        ReportFusedDiff(WorkloadSeed, Iter, "mips fused check", MipsDiff,
+                        MipsImg);
 
       core::CheckResult Ref = core::checkLegacy(T, Img.data(), Size);
 
@@ -466,16 +506,25 @@ int runFusedDifferential(const CliOptions &O, svc::Metrics &M) {
     }
   }
 
-  std::printf("fuzz_differential --fused: %llu images x3 fused paths, "
-              "%llu disagreements (seeds %llu..%llu, %llu iters each, "
-              "%u bytes)\n",
+  std::printf("fuzz_differential --fused: %llu x86 images x3 fused paths, "
+              "%llu mips images (%.1f%% accepted), %llu disagreements "
+              "(seeds %llu..%llu, %llu iters each, %u bytes)\n",
               static_cast<unsigned long long>(ImagesRun),
+              static_cast<unsigned long long>(ImagesRun),
+              ImagesRun ? 100.0 * double(MipsAccepted) / double(ImagesRun)
+                        : 0.0,
               static_cast<unsigned long long>(Disagreements),
               static_cast<unsigned long long>(O.BaseSeed),
               static_cast<unsigned long long>(O.BaseSeed + O.Seeds - 1),
               static_cast<unsigned long long>(O.Iters), O.Size);
   if (O.Stats)
     std::fputs(M.dump().c_str(), stdout);
+  // A generator whose images are all rejected would make the MIPS leg
+  // vacuous: every walk would stop at the first bad word.
+  if (ImagesRun && !MipsAccepted) {
+    std::printf("FUSED FAILURE: no MIPS image was accepted\n");
+    return 1;
+  }
   return Disagreements ? 1 : 0;
 }
 

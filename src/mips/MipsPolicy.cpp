@@ -2,6 +2,7 @@
 
 #include "mips/MipsPolicy.h"
 
+#include "core/ChainDriver.h"
 #include "regex/Algebra.h"
 
 #include <stdexcept>
@@ -126,71 +127,46 @@ const core::TableEntry &mips::mipsTableEntry() {
 
 namespace {
 
-/// The paper's `extract` for MIPS: the destination of the direct jump
-/// whose match spans [Start, End). beq/bne branch pc-relative from the
-/// *following* word (End here — the model has no delay slot); j/jal
-/// carry an absolute word index within the image. Returns false when
-/// the destination lies outside [0, Size), like the x86 extract.
-bool extractMipsTarget(const uint8_t *Code, uint32_t Start, uint32_t End,
-                       uint32_t Size, uint32_t *DestOut) {
-  uint8_t Opcode = Code[Start] >> 2;
-  uint32_t Dest;
-  if (Opcode == 0x04 || Opcode == 0x05) { // beq / bne
-    uint16_t Imm = uint16_t((uint16_t(Code[Start + 2]) << 8) | Code[Start + 3]);
-    Dest = End + (uint32_t(int32_t(int16_t(Imm))) << 2);
-  } else { // j / jal
-    uint32_t Target26 = (uint32_t(Code[Start] & 0x03) << 24) |
-                        (uint32_t(Code[Start + 1]) << 16) |
-                        (uint32_t(Code[Start + 2]) << 8) | Code[Start + 3];
-    Dest = Target26 << 2;
+/// MIPS traits for the Figure-5 chain (core/ChainDriver.h): the 16-byte
+/// bundle, the 4-byte `jr $t9` jump half, and MIPS target extraction.
+struct MipsIsa {
+  static constexpr uint32_t BundleSize = MipsBundleSize;
+  static constexpr uint32_t MaskedJumpHalfLen = MipsMaskedJumpHalfLen;
+
+  /// The paper's `extract` for MIPS: the destination of the direct jump
+  /// whose match spans [Start, End). beq/bne branch pc-relative from
+  /// the *following* word (End here — the model has no delay slot);
+  /// j/jal carry an absolute word index within the image. Returns false
+  /// when the destination lies outside [0, Size), like the x86 extract.
+  static bool extractTarget(const uint8_t *Code, uint32_t Start, uint32_t End,
+                            uint32_t Size, uint32_t *DestOut) {
+    uint8_t Opcode = Code[Start] >> 2;
+    uint32_t Dest;
+    if (Opcode == 0x04 || Opcode == 0x05) { // beq / bne
+      uint16_t Imm =
+          uint16_t((uint16_t(Code[Start + 2]) << 8) | Code[Start + 3]);
+      Dest = End + (uint32_t(int32_t(int16_t(Imm))) << 2);
+    } else { // j / jal
+      uint32_t Target26 = (uint32_t(Code[Start] & 0x03) << 24) |
+                          (uint32_t(Code[Start + 1]) << 16) |
+                          (uint32_t(Code[Start + 2]) << 8) | Code[Start + 3];
+      Dest = Target26 << 2;
+    }
+    if (Dest >= Size)
+      return false;
+    *DestOut = Dest;
+    return true;
   }
-  if (Dest >= Size)
-    return false;
-  *DestOut = Dest;
-  return true;
-}
+};
 
 } // namespace
 
-core::CheckResult mips::checkMips(const core::PolicyTables &T,
-                                  const uint8_t *Code, uint32_t Size) {
-  core::CheckResult R;
-  R.Valid.assign(Size, 0);
-  R.Target.assign(Size, 0);
-  R.PairJmp.assign(Size, 0);
-
-  // The same Figure-5 chain as core::checkLegacy, per-table priority
-  // MaskedJump > NoControlFlow > DirectJump; only the target extraction
-  // and the bundle size are MIPS.
-  uint32_t Pos = 0;
-  while (Pos < Size) {
-    R.Valid[Pos] = 1;
-    uint32_t Start = Pos;
-    if (core::dfaMatch(T.MaskedJump, Code, &Pos, Size)) {
-      R.PairJmp[Pos - MipsMaskedJumpHalfLen] = 1;
-      continue;
-    }
-    if (core::dfaMatch(T.NoControlFlow, Code, &Pos, Size))
-      continue;
-    if (core::dfaMatch(T.DirectJump, Code, &Pos, Size)) {
-      uint32_t Dest = 0;
-      if (!extractMipsTarget(Code, Start, Pos, Size, &Dest)) {
-        R.Ok = false;
-        R.Reason = core::RejectReason::NoParse;
-        return R;
-      }
-      R.Target[Dest] = 1;
-      continue;
-    }
-    R.Ok = false;
-    R.Reason = core::RejectReason::NoParse;
-    return R;
-  }
-
-  core::finalizeCheck(R, MipsBundleSize);
-  return R;
+core::CheckResult mips::checkMipsReference(const core::PolicyTables &T,
+                                           const uint8_t *Code,
+                                           uint32_t Size) {
+  return core::referenceCheck<MipsIsa>(T, Code, Size);
 }
 
 core::CheckResult mips::checkMips(const uint8_t *Code, uint32_t Size) {
-  return checkMips(*mipsTableEntry().Tables, Code, Size);
+  return core::checkImage<MipsIsa>(*mipsTableEntry().Fused, Code, Size);
 }

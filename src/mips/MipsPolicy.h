@@ -22,8 +22,10 @@
 ///
 /// Fixed-width 32-bit words make the walk simpler than x86's — every
 /// match is 4 bytes (8 for the pair) — but nothing in the chain or the
-/// finalize pass changes: `checkMips` is the same Figure-5 procedure
-/// with a 16-byte bundle and MIPS target extraction.
+/// finalize pass changes: `checkMips` is the verify driver x86 uses
+/// (core/ChainDriver.h) over the registry's fused MIPS tables, with
+/// MIPS traits — a 16-byte bundle, a 4-byte jump half and MIPS target
+/// extraction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,16 +79,20 @@ const core::TableEntry &mipsTableEntry();
 /// obligations and the MIPS DecoderDfas are built from.
 re::Regex mipsDecoderRegex(re::Factory &F);
 
-/// The Figure-5 check over a MIPS image: same chain (MaskedJump, then
-/// NoControlFlow, then DirectJump, shortest-match per table), same
-/// finalize pass (every branch target and every bundle boundary must
-/// be an instruction start), with MIPS target extraction — beq/bne are
-/// pc-relative from the following word, j/jal absolute within the
-/// image — and the 16-byte bundle.
-core::CheckResult checkMips(const core::PolicyTables &T, const uint8_t *Code,
-                            uint32_t Size);
+/// The reference Figure-5 check over a MIPS image: the literal
+/// three-table walk (core::referenceCheck) over \p T with MIPS traits —
+/// same chain (MaskedJump, then NoControlFlow, then DirectJump,
+/// shortest-match per table), same finalize pass (every branch target
+/// and every bundle boundary must be an instruction start), with MIPS
+/// target extraction — beq/bne are pc-relative from the following word,
+/// j/jal absolute within the image — and the 16-byte bundle. The
+/// differential reference for checkMips.
+core::CheckResult checkMipsReference(const core::PolicyTables &T,
+                                     const uint8_t *Code, uint32_t Size);
 
-/// checkMips over the registry's MIPS tables.
+/// The production MIPS check: the verify driver over the registry's
+/// fused MIPS tables. Bit-identical to checkMipsReference over the
+/// registry's tables.
 core::CheckResult checkMips(const uint8_t *Code, uint32_t Size);
 
 } // namespace mips

@@ -1,14 +1,14 @@
-//===- core/SandboxMonitor.cpp --------------------------------*- C++ -*-===//
+//===- nacl/SandboxMonitor.cpp --------------------------------*- C++ -*-===//
 
-#include "core/SandboxMonitor.h"
+#include "nacl/SandboxMonitor.h"
 
 #include <cstdio>
 
 using namespace rocksalt;
-using namespace rocksalt::core;
+using namespace rocksalt::nacl;
 
-SandboxMonitor::SandboxMonitor(sem::Cpu &C, CheckResult R, uint32_t Base,
-                               uint32_t Size)
+SandboxMonitor::SandboxMonitor(sem::Cpu &C, core::CheckResult R,
+                               uint32_t Base, uint32_t Size)
     : Cpu(C), Check(std::move(R)), CodeBase(Base), CodeSize(Size) {
   for (int S = 0; S < 6; ++S) {
     SegVal0[S] = C.M.SegVal[S];

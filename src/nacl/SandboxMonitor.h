@@ -1,4 +1,4 @@
-//===- core/SandboxMonitor.h - Safety theorem as a monitor -----*- C++ -*-===//
+//===- nacl/SandboxMonitor.h - Safety theorem as a monitor -----*- C++ -*-===//
 ///
 /// \file
 /// The paper's correctness theorem (section 4), recast as a runtime
@@ -12,8 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef ROCKSALT_CORE_SANDBOXMONITOR_H
-#define ROCKSALT_CORE_SANDBOXMONITOR_H
+#ifndef ROCKSALT_NACL_SANDBOXMONITOR_H
+#define ROCKSALT_NACL_SANDBOXMONITOR_H
 
 #include "core/Verifier.h"
 #include "sem/Cpu.h"
@@ -22,7 +22,7 @@
 #include <string>
 
 namespace rocksalt {
-namespace core {
+namespace nacl {
 
 class SandboxMonitor {
 public:
@@ -33,7 +33,7 @@ public:
 
   /// Attaches to \p C (installing a write hook) for code loaded at
   /// physical [CodeBase, CodeBase+CodeSize) with the checker's \p R.
-  SandboxMonitor(sem::Cpu &C, CheckResult R, uint32_t CodeBase,
+  SandboxMonitor(sem::Cpu &C, core::CheckResult R, uint32_t CodeBase,
                  uint32_t CodeSize);
 
   /// Runs up to \p MaxSteps instructions, checking the invariants after
@@ -45,7 +45,7 @@ public:
 
 private:
   sem::Cpu &Cpu;
-  CheckResult Check;
+  core::CheckResult Check;
   uint32_t CodeBase, CodeSize;
   uint64_t Steps = 0;
 
@@ -58,7 +58,7 @@ private:
   std::optional<std::string> checkInvariants() const;
 };
 
-} // namespace core
+} // namespace nacl
 } // namespace rocksalt
 
-#endif // ROCKSALT_CORE_SANDBOXMONITOR_H
+#endif // ROCKSALT_NACL_SANDBOXMONITOR_H

@@ -27,6 +27,7 @@ using namespace rocksalt::analysis;
 namespace {
 
 const core::PolicyTables &tables() { return core::policyTables(); }
+const core::FusedPolicy &fused() { return core::fusedPolicyTables(); }
 
 uint32_t countKind(const CfgLintResult &R, LintKind K) {
   uint32_t N = 0;
@@ -442,7 +443,7 @@ TEST(DifferentialLint, ShardsMatchSequentialOnHandImages) {
     CfgLintResult Seq = lintImage(tables(), Img);
     for (uint32_t Shards : {1u, 2u, 5u}) {
       CfgLintResult Par = lintImageFromShards(
-          tables(), Img.data(), uint32_t(Img.size()), Shards);
+          fused(), Img.data(), uint32_t(Img.size()), Shards);
       expectLintEqual(Seq, Par,
                       (std::string(Name) + " shards=" +
                        std::to_string(Shards)).c_str());
@@ -460,7 +461,7 @@ TEST(DifferentialLint, ShardsMatchSequentialOnWorkloads) {
     EXPECT_EQ(Seq.Errors, 0u);
     for (uint32_t Shards : {1u, 3u, 8u}) {
       CfgLintResult Par = lintImageFromShards(
-          tables(), Img.data(), uint32_t(Img.size()), Shards);
+          fused(), Img.data(), uint32_t(Img.size()), Shards);
       expectLintEqual(Seq, Par, ("workload seed " + std::to_string(Seed) +
                                  " shards=" + std::to_string(Shards))
                                     .c_str());
@@ -599,7 +600,7 @@ TEST(LintProperty, ErrorsNeverFireOnAcceptedImages) {
     CfgLintResult Seq = lintImage(tables(), Img);
     EXPECT_EQ(Seq.Errors, 0u) << "seed " << Seed << "\n" << Seq.render();
     CfgLintResult Par =
-        lintImageFromShards(tables(), Img.data(), uint32_t(Img.size()), 4);
+        lintImageFromShards(fused(), Img.data(), uint32_t(Img.size()), 4);
     EXPECT_EQ(Par.Errors, 0u) << "seed " << Seed;
 
     // Incremental path: identity patches and a bundle-aligned NOP-sled

@@ -8,9 +8,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/SandboxMonitor.h"
 #include "core/Verifier.h"
 #include "nacl/Assembler.h"
+#include "nacl/SandboxMonitor.h"
 #include "sem/Cpu.h"
 
 #include <gtest/gtest.h>
@@ -64,7 +64,7 @@ sem::Cpu runVerified(Assembler &A, uint64_t MaxSteps,
                      DataSize, Code);
   if (Setup)
     Setup(C);
-  core::SandboxMonitor Mon(C, std::move(R), CodeBase,
+  nacl::SandboxMonitor Mon(C, std::move(R), CodeBase,
                            static_cast<uint32_t>(Code.size()));
   auto Violation = Mon.runMonitored(MaxSteps);
   EXPECT_FALSE(Violation.has_value())

@@ -82,8 +82,18 @@ std::vector<uint8_t> nops(uint32_t Words) {
   return Img;
 }
 
+/// The production check (the fused verify driver), asserted
+/// bit-identical to the reference three-table walk on the same image.
 core::CheckResult check(const std::vector<uint8_t> &Img) {
-  return checkMips(Img.data(), uint32_t(Img.size()));
+  core::CheckResult Fused = checkMips(Img.data(), uint32_t(Img.size()));
+  core::CheckResult Ref = checkMipsReference(
+      *mipsTableEntry().Tables, Img.data(), uint32_t(Img.size()));
+  EXPECT_EQ(Fused.Ok, Ref.Ok);
+  EXPECT_EQ(Fused.Reason, Ref.Reason);
+  EXPECT_EQ(Fused.Valid, Ref.Valid);
+  EXPECT_EQ(Fused.Target, Ref.Target);
+  EXPECT_EQ(Fused.PairJmp, Ref.PairJmp);
+  return Fused;
 }
 
 TEST(MipsPolicy, CompliantStraightLineAccepted) {
@@ -203,6 +213,50 @@ TEST(MipsPolicy, TruncatedTrailingWordRejected) {
   core::CheckResult R = check(Img);
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Reason, core::RejectReason::NoParse);
+  // Every cut of the final word, including one inside a masked pair.
+  std::vector<uint8_t> Pair = nops(2);
+  putWord(Pair, maskWord());
+  putWord(Pair, jrWord());
+  for (uint32_t Cut = 1; Cut < 4; ++Cut) {
+    std::vector<uint8_t> Short(Pair.begin(), Pair.end() - Cut);
+    EXPECT_EQ(check(Short).Reason, core::RejectReason::NoParse) << Cut;
+  }
+}
+
+TEST(MipsPolicy, SpecialWordThroughT9IsPlainNcf) {
+  // addu $3, $t9, $2: a SPECIAL word with rs = $t9 shares the mask
+  // word's first byte (0x03), which keeps MaskedJump alive — the full
+  // chain, not the sweep, must resolve it as NoControlFlow.
+  uint32_t W = adduWord(/*Rd=*/3, /*Rs=*/MipsJumpReg, /*Rt=*/2);
+  ASSERT_NE(W, maskWord());
+  ASSERT_EQ(W >> 24, maskWord() >> 24);
+  ASSERT_TRUE(mipsTableEntry().Fused->MjAliveByte[W >> 24]);
+  ASSERT_EQ(mipsTableEntry().Fused->ExcByte[W >> 24], 1);
+  std::vector<uint8_t> Img = nops(1);
+  putWord(Img, W);
+  putWord(Img, adduWord());
+  putWord(Img, adduWord());
+  core::CheckResult R = check(Img);
+  EXPECT_TRUE(R.Ok);
+  EXPECT_EQ(R.Valid[4], 1);
+  EXPECT_EQ(R.Valid[8], 1);
+  for (uint8_t B : R.PairJmp)
+    EXPECT_EQ(B, 0);
+}
+
+TEST(MipsPolicy, BranchOutOfRangeRejected) {
+  // Forward past the end (dest = 4 + 8*4 = 36 in a 16-byte image) and
+  // backward below zero (dest = 4 - 8*4 wraps): extract fails, so the
+  // step fails as a whole.
+  for (uint16_t Imm : {uint16_t(8), uint16_t(-8)}) {
+    std::vector<uint8_t> Img;
+    putWord(Img, beqWord(Imm));
+    for (uint32_t I = 0; I < 3; ++I)
+      putWord(Img, adduWord());
+    core::CheckResult R = check(Img);
+    EXPECT_FALSE(R.Ok) << Imm;
+    EXPECT_EQ(R.Reason, core::RejectReason::NoParse) << Imm;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -216,7 +270,16 @@ TEST(MipsPolicy, RegistryEntryMatchesPinnedShape) {
   EXPECT_EQ(E.Tables->NoControlFlow.numStates(), MipsNoControlFlowStates);
   EXPECT_EQ(E.Tables->DirectJump.numStates(), MipsDirectJumpStates);
   EXPECT_EQ(E.Tables->MaskedJump.numStates(), MipsMaskedJumpStates);
-  EXPECT_NE(E.Fused, nullptr);
+  ASSERT_NE(E.Fused, nullptr);
+  // The derived lane classes (DESIGN.md section 16.4): no chain-safe
+  // byte, so run skipping stays off and the sweep plus the full chain
+  // step carry every MIPS image; the mask's first byte is the one
+  // MaskedJump-alive byte, and no start resolves on its second byte.
+  EXPECT_EQ(E.Fused->SafeCount, 0u);
+  EXPECT_FALSE(E.Fused->RunSkip);
+  EXPECT_EQ(E.Fused->MjAliveCount, 1u);
+  EXPECT_EQ(E.Fused->ExcCount, 17u);
+  EXPECT_EQ(E.Fused->Exc2Count, 0u);
   EXPECT_EQ(E.HashHex.size(), 64u);
   EXPECT_NE(E.HashHex, core::defaultTableEntry().HashHex);
 }
@@ -254,13 +317,17 @@ TEST(MipsPolicy, RawAndMinimizedDecideIdentically) {
     Probes.push_back(std::move(Img));
   }
   for (const auto &Img : Probes) {
-    core::CheckResult A = checkMips(Raw, Img.data(), uint32_t(Img.size()));
-    core::CheckResult B = checkMips(Min, Img.data(), uint32_t(Img.size()));
-    EXPECT_EQ(A.Ok, B.Ok);
-    EXPECT_EQ(A.Reason, B.Reason);
-    EXPECT_EQ(A.Valid, B.Valid);
-    EXPECT_EQ(A.Target, B.Target);
-    EXPECT_EQ(A.PairJmp, B.PairJmp);
+    uint32_t Size = uint32_t(Img.size());
+    core::CheckResult A = checkMipsReference(Raw, Img.data(), Size);
+    core::CheckResult B = checkMipsReference(Min, Img.data(), Size);
+    core::CheckResult C = checkMips(Img.data(), Size); // fused Min
+    for (const core::CheckResult *X : {&B, &C}) {
+      EXPECT_EQ(A.Ok, X->Ok);
+      EXPECT_EQ(A.Reason, X->Reason);
+      EXPECT_EQ(A.Valid, X->Valid);
+      EXPECT_EQ(A.Target, X->Target);
+      EXPECT_EQ(A.PairJmp, X->PairJmp);
+    }
   }
 }
 

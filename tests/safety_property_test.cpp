@@ -8,8 +8,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/SandboxMonitor.h"
 #include "nacl/Assembler.h"
+#include "nacl/SandboxMonitor.h"
 #include "nacl/WorkloadGen.h"
 
 #include <gtest/gtest.h>

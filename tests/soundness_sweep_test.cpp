@@ -9,9 +9,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/BaselineChecker.h"
-#include "core/SandboxMonitor.h"
 #include "core/Verifier.h"
 #include "nacl/Mutator.h"
+#include "nacl/SandboxMonitor.h"
 #include "nacl/WorkloadGen.h"
 
 #include <gtest/gtest.h>

@@ -230,12 +230,12 @@ TEST_F(EquivalenceTest, WorkloadAttackAndMutationSweep) {
 /// The merge must also behave when handed shard layouts the service
 /// never produces (gaps are scanned sequentially, overlaps discarded).
 TEST(ShardMergeTest, ToleratesGappyPartitions) {
-  const core::PolicyTables &T = core::policyTables();
+  const core::FusedPolicy &P = core::fusedPolicyTables();
   std::vector<uint8_t> Code(128, 0x90);
   std::vector<core::ShardScan> Shards(1);
   Shards[0].reset(64, 96); // only the third bundle scanned up front
-  core::scanShard(T, Code.data(), uint32_t(Code.size()), Shards[0]);
-  core::CheckResult R = core::mergeShardScans(T, Code.data(),
+  core::scanShard(P, Code.data(), uint32_t(Code.size()), Shards[0]);
+  core::CheckResult R = core::mergeShardScans(P, Code.data(),
                                               uint32_t(Code.size()), Shards);
   core::RockSalt Seq;
   core::CheckResult S = Seq.check(Code);
