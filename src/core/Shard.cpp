@@ -17,26 +17,35 @@ using namespace rocksalt::core;
 
 namespace {
 
-/// The shard sink: ValidPos is written through a branchless cursor
-/// shared by all three lanes; targets and pair jumps are sparse and
-/// appended.
+/// The shard sink: starts are OR-ed into the shard's bitmap words by
+/// all three lanes (the sweep's mid-instruction marks OR a zero);
+/// targets and pair jumps are sparse and appended.
 struct ShardSink {
   static constexpr bool TrackFailStart = true;
-  uint32_t *Dst;
-  size_t N;
+  uint64_t *Words;
+  uint32_t Base;
   ShardScan &S;
 
   void run(uint32_t Begin, uint32_t End) {
-    for (uint32_t Q = Begin; Q < End; ++Q)
-      Dst[N++] = Q;
+    uint32_t Lo = Begin - Base, Hi = End - Base - 1; // inclusive, Lo <= Hi
+    uint64_t First = ~uint64_t(0) << (Lo & 63);
+    uint64_t Last = ~uint64_t(0) >> (63 - (Hi & 63));
+    if (Lo >> 6 == Hi >> 6) {
+      Words[Lo >> 6] |= First & Last;
+      return;
+    }
+    Words[Lo >> 6] |= First;
+    for (uint32_t W = (Lo >> 6) + 1; W < Hi >> 6; ++W)
+      Words[W] = ~uint64_t(0);
+    Words[Hi >> 6] |= Last;
   }
-  // The cursor stops advancing at mid-instruction bytes, so their dead
-  // writes all land just past the last start.
+  // Bytes past S.End are only ever marked as non-starts; the bitmap's
+  // slack word takes those writes.
   void mark(uint32_t Q, uint8_t IsStart) {
-    Dst[N] = Q;
-    N += IsStart;
+    uint32_t I = Q - Base;
+    Words[I >> 6] |= uint64_t(IsStart) << (I & 63);
   }
-  void start(uint32_t Q) { Dst[N++] = Q; }
+  void start(uint32_t Q) { mark(Q, 1); }
   void pairJump(uint32_t Q) { S.PairJmpPos.push_back(Q); }
   void target(uint32_t Dest) { S.TargetPos.push_back(Dest); }
 };
@@ -45,15 +54,10 @@ struct ShardSink {
 
 void core::scanShard(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                      ShardScan &S) {
-  // Allocate ValidPos's upper bound once: at most one start per byte of
-  // [Begin, End), plus one slot absorbing the sweep's dead writes for an
-  // instruction straddling S.End.
-  S.ValidPos.resize(size_t(S.End - S.Begin) + 1);
-  ShardSink K{S.ValidPos.data(), 0, S};
+  ShardSink K{S.StartWords.data(), S.Begin, S};
   uint32_t Pos = S.Begin;
   S.Failed = !driveChain<X86Isa>(P, Code, Size, S.End, &Pos, K);
   S.StopPos = Pos;
-  S.ValidPos.resize(K.N);
 #if defined(__GNUC__)
   // Seam prefetch: when the same worker goes on to scan (or the merge
   // goes on to replay) the adjacent shard, its first line is already
@@ -112,8 +116,7 @@ CheckResult core::mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
     if (I < N && Shards[I]->Begin == Pos) {
       // In sync: this shard's fresh scan is the sequential chain.
       const ShardScan &S = *Shards[I++];
-      for (uint32_t Q : S.ValidPos)
-        R.Valid[Q] = 1;
+      S.forEachStart([&R](uint32_t Q) { R.Valid[Q] = 1; });
       for (uint32_t Q : S.TargetPos)
         R.Target[Q] = 1;
       for (uint32_t Q : S.PairJmpPos)

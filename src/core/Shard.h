@@ -30,16 +30,19 @@
 
 #include "core/Verifier.h"
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 namespace rocksalt {
 namespace core {
 
-/// The result of scanning one shard [Begin, End) of an image. The
-/// vectors are position lists (not bitmaps) so a shard's footprint is
-/// proportional to the code it scanned, and they retain capacity across
-/// `reset` so steady-state scans allocate nothing.
+/// The result of scanning one shard [Begin, End) of an image.
+/// Instruction starts are a bitmap over [Begin, End), one bit per byte,
+/// read through `isStart`/`forEachStart` so no caller depends on the
+/// word layout; targets and pair jumps are sparse position lists.
+/// Buffers retain capacity across `reset`, so steady-state scans
+/// allocate nothing.
 struct ShardScan {
   uint32_t Begin = 0; ///< shard base, a multiple of BundleSize
   uint32_t End = 0;   ///< shard limit (next base, or image size)
@@ -47,31 +50,55 @@ struct ShardScan {
   uint32_t StopPos = 0;
   bool Failed = false; ///< no grammar matched at StopPos
 
-  std::vector<uint32_t> ValidPos;   ///< chain positions, ascending
   std::vector<uint32_t> TargetPos;  ///< absolute direct-jump targets
   std::vector<uint32_t> PairJmpPos; ///< jump halves of masked pairs
 
+  /// Clears the results and sizes a zeroed start bitmap for [B, E).
   void reset(uint32_t B, uint32_t E) {
     Begin = B;
     End = E;
     StopPos = B;
     Failed = false;
-    ValidPos.clear();
+    // One slack word past the last absorbs the sweep's dead (zero)
+    // writes for an instruction straddling E: no policy instruction is
+    // longer than a bundle (IncrTest.MaxScanReadBytesIsSane pins it).
+    StartWords.assign((size_t(E - B) + 63) / 64 + 1, 0);
     TargetPos.clear();
     PairJmpPos.clear();
   }
+
+  /// True when the shard's chain started an instruction at \p Q.
+  bool isStart(uint32_t Q) const {
+    uint32_t I = Q - Begin;
+    return Q >= Begin && Q < End && (StartWords[I >> 6] >> (I & 63)) & 1;
+  }
+
+  /// Calls \p Fn(Q) for every instruction start Q, ascending.
+  template <typename Fn> void forEachStart(Fn &&F) const {
+    for (size_t W = 0; W < StartWords.size(); ++W)
+      for (uint64_t Bits = StartWords[W]; Bits; Bits &= Bits - 1)
+        F(Begin + uint32_t(W * 64) + uint32_t(std::countr_zero(Bits)));
+  }
+
+  /// Bytes held by the start bitmap (the chunk cache's accounting).
+  size_t startBytes() const { return StartWords.capacity() * sizeof(uint64_t); }
+
+private:
+  friend void scanShard(const FusedPolicy &, const uint8_t *, uint32_t,
+                        ShardScan &);
+  std::vector<uint64_t> StartWords; ///< bit Q - Begin set iff Q is a start
 };
 
-/// Runs the Figure-5 chain from S.Begin while the position is < S.End;
-/// a final match may overrun past End (StopPos records where the chain
-/// actually stopped, or the failing instruction's start). Marks exactly
-/// the positions the sequential scan would mark on the same chain,
-/// including Valid at a failing position. Run skipping is clamped to
-/// S.End (each safe byte is a one-byte step, so the fresh chain stops
-/// exactly where the per-step scan would) and wide loads never read at
-/// or past S.End, so the chunk cache's scan-window contract
-/// (incr/ChunkCache.h) is untouched. The next shard's first line is
-/// prefetched across the seam.
+/// Runs the Figure-5 chain from S.Begin while the position is < S.End
+/// over a freshly `reset` \p S; a final match may overrun past End
+/// (StopPos records where the chain actually stopped, or the failing
+/// instruction's start). Marks exactly the starts the sequential scan
+/// would mark on the same chain, including the failing position. Run
+/// skipping is clamped to S.End (each safe byte is a one-byte step, so
+/// the fresh chain stops exactly where the per-step scan would) and
+/// wide loads never read at or past S.End, so the chunk cache's
+/// scan-window contract (incr/ChunkCache.h) is untouched. The next
+/// shard's first line is prefetched across the seam.
 void scanShard(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                ShardScan &S);
 

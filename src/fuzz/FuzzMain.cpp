@@ -190,34 +190,41 @@ std::string comparePatchVerdicts(const core::CheckResult &Got,
 }
 
 /// The incremental-vs-full differential: a long-lived image mutated in
-/// place, re-verified incrementally after every patch and cross-checked
+/// place, re-verified incrementally after every step and cross-checked
 /// against a full sequential check of the same bytes. Chunk geometry
 /// rotates per image (including the minimum, one bundle per chunk, the
 /// seam-heaviest case) and a quarter of the images are tail-truncated
 /// to a non-bundle-multiple size so final-partial-chunk handling is in
-/// the loop.
+/// the loop. A third of the steps, chosen by the step seed, apply a
+/// batch of 2-4 patches before one reverify, so the dirty list's
+/// deduplication and the multi-range splice are in the loop too.
 int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
   const core::PolicyTables &T = core::policyTables();
   core::RockSalt Full(T);
   static const uint32_t ChunkRotation[] = {512, 32, 256, 1024};
+  const uint64_t BatchStream = 0xBA7Cull;
 
   uint64_t Disagreements = 0;
-  uint64_t StepsRun = 0;
+  uint64_t StepsRun = 0, BatchedSteps = 0;
 
   for (uint64_t I = 0; I < O.Images; ++I) {
     uint64_t Seed = O.BaseSeed + I;
+    // The per-image rotations index by the seed alone (equal to I at the
+    // default base seed), so the one-image repro line rebuilds the same
+    // image, truncation and chunk geometry.
+    const uint64_t Rot = Seed - 1;
     nacl::WorkloadOptions WO;
-    WO.TargetBytes = O.Size + uint32_t(I % 5) * 128;
+    WO.TargetBytes = O.Size + uint32_t(Rot % 5) * 128;
     WO.Seed = Seed;
     std::vector<uint8_t> Bytes = nacl::generateWorkload(WO);
     Rng ImgRng(mutationSeed(Seed, 0));
-    if (I % 4 == 3 && Bytes.size() > core::BundleSize)
+    if (Rot % 4 == 3 && Bytes.size() > core::BundleSize)
       Bytes.resize(Bytes.size() - 1 - ImgRng.below(core::BundleSize - 1));
     if (Bytes.empty())
       continue;
 
     incr::IncrementalOptions IO;
-    IO.ChunkBytes = ChunkRotation[I % std::size(ChunkRotation)];
+    IO.ChunkBytes = ChunkRotation[Rot % std::size(ChunkRotation)];
     incr::IncrementalVerifier Incr(T, IO, &M);
 
     incr::ImageId Id = Incr.open(Bytes);
@@ -228,22 +235,36 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
                   static_cast<unsigned long long>(Seed), Diff.c_str());
     }
 
+    std::vector<fuzz::PatchOp> Batch;
     for (uint64_t Step = 1; Step <= O.Steps; ++Step) {
       Rng StepRng(mutationSeed(Seed, Step));
-      fuzz::PatchOp P = fuzz::nextStructuredPatch(Bytes, StepRng);
-      for (size_t B = 0; B < P.Bytes.size(); ++B)
-        Bytes[P.Offset + B] = P.Bytes[B];
-      Incr.patch(Id, P.Offset, P.Bytes.data(), uint32_t(P.Bytes.size()));
+      // The batch size has its own stream: single-patch steps draw
+      // exactly the patches they always did.
+      Rng BatchRng(mutationSeed(Seed, Step) ^ BatchStream);
+      uint64_t Count = BatchRng.below(3) == 0 ? BatchRng.range(2, 4) : 1;
+      BatchedSteps += Count > 1;
+      Batch.clear();
+      for (uint64_t K = 0; K < Count; ++K) {
+        fuzz::PatchOp P = fuzz::nextStructuredPatch(Bytes, StepRng);
+        for (size_t B = 0; B < P.Bytes.size(); ++B)
+          Bytes[P.Offset + B] = P.Bytes[B];
+        Incr.patchBytes(Id, P.Offset, P.Bytes.data(),
+                        uint32_t(P.Bytes.size()));
+        Batch.push_back(std::move(P));
+      }
+      Incr.reverify(Id);
       ++StepsRun;
       Diff = comparePatchVerdicts(Incr.lastCheck(Id), Full.check(Bytes));
       if (!Diff.empty()) {
         ++Disagreements;
         std::printf("PATCH DISAGREEMENT at image-seed=%llu step=%llu "
-                    "(%s at %u, %zu bytes, chunk=%u): %s\n",
+                    "(chunk=%u): %s\n",
                     static_cast<unsigned long long>(Seed),
-                    static_cast<unsigned long long>(Step),
-                    fuzz::patchKindName(P.Kind), P.Offset, P.Bytes.size(),
-                    IO.ChunkBytes, Diff.c_str());
+                    static_cast<unsigned long long>(Step), IO.ChunkBytes,
+                    Diff.c_str());
+        for (const fuzz::PatchOp &P : Batch)
+          std::printf("  patch: %s at %u, %zu bytes\n",
+                      fuzz::patchKindName(P.Kind), P.Offset, P.Bytes.size());
         std::printf("  repro: --patches --images 1 --base-seed %llu "
                     "--steps %llu --size %u\n",
                     static_cast<unsigned long long>(Seed),
@@ -255,11 +276,12 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
     Incr.close(Id);
   }
 
-  std::printf("fuzz_differential --patches: %llu images, %llu patch steps, "
-              "%llu disagreements (chunk hits %llu, misses %llu, "
-              "evictions %llu)\n",
+  std::printf("fuzz_differential --patches: %llu images, %llu patch steps "
+              "(%llu batched), %llu disagreements (chunk hits %llu, "
+              "misses %llu, evictions %llu)\n",
               static_cast<unsigned long long>(O.Images),
               static_cast<unsigned long long>(StepsRun),
+              static_cast<unsigned long long>(BatchedSteps),
               static_cast<unsigned long long>(Disagreements),
               static_cast<unsigned long long>(M.IncrChunkHits.get()),
               static_cast<unsigned long long>(M.IncrChunkMisses.get()),

@@ -116,9 +116,35 @@ ChunkCache::ChunkCache(ChunkCacheOptions O, svc::Metrics *M)
     : Opts(O), Met(M) {}
 
 size_t ChunkCache::entryCost(const core::ShardScan &S) {
-  return sizeof(Entry) + sizeof(core::ShardScan) +
-         sizeof(uint32_t) * (S.ValidPos.capacity() + S.TargetPos.capacity() +
-                             S.PairJmpPos.capacity());
+  // Every allocation an entry owns, at its requested size: the map node
+  // (a link, then key and Entry) plus its bucket slot, and the
+  // make_shared block (a control block of a vtable pointer and two
+  // counts, then the scan) with the scan's buffers.
+  constexpr size_t MapNode = sizeof(void *) + sizeof(Node) + sizeof(void *);
+  constexpr size_t ScanBlock =
+      sizeof(void *) + 2 * sizeof(int) + sizeof(core::ShardScan);
+  return MapNode + ScanBlock + S.startBytes() +
+         sizeof(uint32_t) * (S.TargetPos.capacity() + S.PairJmpPos.capacity());
+}
+
+void ChunkCache::unlink(Node &N) {
+  Entry &E = N.second;
+  (E.Newer ? E.Newer->second.Older : Newest) = E.Older;
+  (E.Older ? E.Older->second.Newer : Oldest) = E.Newer;
+  E.Newer = E.Older = nullptr;
+}
+
+void ChunkCache::pushNewest(Node &N) {
+  N.second.Older = Newest;
+  (Newest ? Newest->second.Newer : Oldest) = &N;
+  Newest = &N;
+}
+
+void ChunkCache::publish(int64_t Entries, int64_t Bytes) {
+  if (Met) {
+    Met->IncrChunkEntries.add(Entries);
+    Met->IncrChunkResidentBytes.add(Bytes);
+  }
 }
 
 std::shared_ptr<const core::ShardScan> ChunkCache::lookup(const ChunkKey &K) {
@@ -132,25 +158,24 @@ std::shared_ptr<const core::ShardScan> ChunkCache::lookup(const ChunkKey &K) {
   ++Hits;
   if (Met)
     Met->IncrChunkHits.add();
-  Lru.splice(Lru.begin(), Lru, It->second); // refresh
-  return It->second->Scan;
+  unlink(*It); // refresh
+  pushNewest(*It);
+  return It->second.Scan;
 }
 
 std::shared_ptr<const core::ShardScan>
 ChunkCache::insert(const ChunkKey &K,
                    std::shared_ptr<const core::ShardScan> Scan) {
-  auto It = Map.find(K);
-  if (It != Map.end()) {
-    Bytes -= It->second->Cost;
-    It->second->Scan = Scan;
-    It->second->Cost = entryCost(*Scan);
-    Bytes += It->second->Cost;
-    Lru.splice(Lru.begin(), Lru, It->second);
-  } else {
-    Lru.push_front(Entry{K, Scan, entryCost(*Scan)});
-    Bytes += Lru.front().Cost;
-    Map.emplace(K, Lru.begin());
-  }
+  auto [It, Fresh] = Map.try_emplace(K);
+  Entry &E = It->second;
+  size_t Old = E.Cost;
+  E.Scan = Scan;
+  E.Cost = entryCost(*Scan);
+  Bytes = Bytes - Old + E.Cost;
+  publish(Fresh, int64_t(E.Cost) - int64_t(Old));
+  if (!Fresh)
+    unlink(*It);
+  pushNewest(*It);
   evictToFit();
   return Scan;
 }
@@ -158,10 +183,12 @@ ChunkCache::insert(const ChunkKey &K,
 void ChunkCache::evictToFit() {
   while (Map.size() > Opts.MaxEntries ||
          (Bytes > Opts.MaxBytes && Map.size() > 1)) {
-    Entry &Victim = Lru.back();
-    Bytes -= Victim.Cost;
-    Map.erase(Victim.Key);
-    Lru.pop_back();
+    Node &Victim = *Oldest;
+    Bytes -= Victim.second.Cost;
+    publish(-1, -int64_t(Victim.second.Cost));
+    unlink(Victim);
+    ChunkKey Key = Victim.first; // the node dies inside erase
+    Map.erase(Key);
     ++Evictions;
     if (Met)
       Met->IncrChunkEvictions.add();
@@ -169,7 +196,8 @@ void ChunkCache::evictToFit() {
 }
 
 void ChunkCache::clear() {
+  publish(-int64_t(Map.size()), -int64_t(Bytes));
   Map.clear();
-  Lru.clear();
+  Newest = Oldest = nullptr;
   Bytes = 0;
 }

@@ -22,13 +22,19 @@
 ///     check [0, Size) both read it.
 ///
 /// The key is therefore SHA-256 over (Begin, End, Size, window bytes).
+/// The soundness argument leans on SHA-256's collision resistance: two
+/// windows with one digest would let one chunk's cached scan stand in
+/// for different bytes.
 /// Entries are shared `ShardScan`s behind shared_ptr: an image holds its
 /// current chunk scans alive even after LRU eviction, and identical
 /// chunks (nop sleds, common prologues) are shared across images.
 ///
-/// Bounded by entry count and by approximate resident bytes, evicting
+/// Bounded by entry count and by resident bytes — every allocation an
+/// entry owns, node and control block included — evicting
 /// least-recently-used entries; hit/miss/eviction totals are kept
-/// locally and mirrored into `svc::Metrics` (incr_chunk_* counters).
+/// locally and mirrored into `svc::Metrics` (incr_chunk_* counters), and
+/// the live entry count and resident bytes into the incr_chunk_entries
+/// and incr_chunk_resident_bytes gauges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +46,9 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 namespace rocksalt {
 namespace incr {
@@ -71,7 +77,10 @@ struct ChunkCacheOptions {
 
 class ChunkCache {
 public:
+  /// \p M, when given, must outlive the cache: the destructor takes the
+  /// cache's entries out of its gauges.
   explicit ChunkCache(ChunkCacheOptions O = {}, svc::Metrics *M = nullptr);
+  ~ChunkCache() { clear(); }
 
   ChunkCache(const ChunkCache &) = delete;
   ChunkCache &operator=(const ChunkCache &) = delete;
@@ -96,13 +105,18 @@ public:
   void clear();
 
 private:
+  /// A map value; the LRU order is a doubly linked list threaded through
+  /// the map's nodes (which never move), so an entry is one allocation
+  /// besides its scan.
   struct Entry {
-    ChunkKey Key;
     std::shared_ptr<const core::ShardScan> Scan;
     size_t Cost = 0;
+    std::pair<const ChunkKey, Entry> *Newer = nullptr, *Older = nullptr;
   };
+  using Node = std::pair<const ChunkKey, Entry>;
   struct KeyHash {
-    size_t operator()(const ChunkKey &K) const {
+    // noexcept: the map then stores no hash code per node.
+    size_t operator()(const ChunkKey &K) const noexcept {
       size_t H = 0;
       for (size_t I = 0; I < sizeof(size_t); ++I)
         H = (H << 8) | K[I];
@@ -110,13 +124,19 @@ private:
     }
   };
 
+  void unlink(Node &N);
+  void pushNewest(Node &N);
   void evictToFit();
+  /// Mirrors a change of the entry count and resident bytes into the
+  /// metrics gauges.
+  void publish(int64_t Entries, int64_t Bytes);
   static size_t entryCost(const core::ShardScan &S);
 
   ChunkCacheOptions Opts;
   svc::Metrics *Met; ///< may be null
-  std::list<Entry> Lru; ///< front = most recent
-  std::unordered_map<ChunkKey, std::list<Entry>::iterator, KeyHash> Map;
+  std::unordered_map<ChunkKey, Entry, KeyHash> Map;
+  Node *Newest = nullptr, *Oldest = nullptr; ///< LRU ends
+
   size_t Bytes = 0;
   uint64_t Hits = 0, Misses = 0, Evictions = 0;
 };

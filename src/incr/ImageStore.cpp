@@ -2,6 +2,7 @@
 
 #include "incr/ImageStore.h"
 
+#include <numeric>
 #include <stdexcept>
 
 using namespace rocksalt;
@@ -18,6 +19,8 @@ ImageId ImageStore::open(std::vector<uint8_t> Bytes, uint32_t ChunkBytes) {
   uint32_t NumChunks = (E.size() + ChunkBytes - 1) / ChunkBytes;
   E.Chunks.assign(NumChunks, nullptr);
   E.DirtyCards.assign(NumChunks, 1);
+  E.DirtyList.resize(NumChunks);
+  std::iota(E.DirtyList.begin(), E.DirtyList.end(), 0u);
   ImageId Id = NextId++;
   Images.emplace(Id, std::move(E));
   return Id;

@@ -3,10 +3,11 @@
 /// \file
 /// The registry of long-lived images the incremental verifier tracks:
 /// id → current bytes + chunk geometry + the per-chunk scan results that
-/// certify the last verdict + a dirty-card bitmap of chunks whose scan
-/// window a patch has touched since the last re-verification (the same
-/// shape as a GC card table: writes mark cards, the collector — here the
-/// re-verifier — scans and clears them).
+/// certify the last verdict + dirty cards for chunks whose scan window a
+/// patch has touched since the last re-verification (the shape of a GC
+/// card table: writes mark cards, the collector — here the re-verifier —
+/// clears them), with the marked cards also appended to a dirty list so
+/// the re-verifier visits only those.
 ///
 /// The store is pure bookkeeping; `incr::IncrementalVerifier` owns the
 /// scanning and merging policy on top of it.
@@ -36,8 +37,10 @@ using ImageId = uint32_t;
 /// position >= c*ChunkBytes (the chain was in sync at c iff it equals
 /// the chunk base); `SegTargets[c]` lists the direct-jump targets
 /// contributed by chain steps starting inside chunk c, and `TargetCnt`
-/// refcounts contributors per target position so removing one segment's
-/// jumps clears exactly the bits no other jump still justifies. Only
+/// refcounts contributors per targeted position (only positions some
+/// jump targets have an entry, so it costs O(jumps), not O(image)) so
+/// removing one segment's jumps clears exactly the bits no other jump
+/// still justifies; `R.Target[p]` is set exactly when p has one. Only
 /// valid while `Ok` — any reject drops back to the full merge until the
 /// image is accepted again.
 struct MergeState {
@@ -45,7 +48,7 @@ struct MergeState {
   core::CheckResult R;
   std::vector<uint32_t> EntryPos;
   std::vector<std::vector<uint32_t>> SegTargets;
-  std::vector<uint32_t> TargetCnt;
+  std::unordered_map<uint32_t, uint32_t> TargetCnt;
 };
 
 /// One registered image and its incremental verification state.
@@ -58,6 +61,12 @@ struct ImageEntry {
   /// Dirty cards: chunk i's scan window was touched by a patch since its
   /// scan in Chunks[i] was (re)computed.
   std::vector<uint8_t> DirtyCards;
+  /// The dirty chunks, each listed once, in the order their cards were
+  /// set: re-verification walks this list (sorted) instead of sweeping
+  /// the cards, so it costs O(patch) however large the image. The cards
+  /// stay for the O(1) "is this chunk dirty" test and to keep the list
+  /// unique.
+  std::vector<uint32_t> DirtyList;
   /// Spliceable merge of the last accepted verdict (see MergeState).
   MergeState Merge;
 

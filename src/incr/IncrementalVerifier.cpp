@@ -1,15 +1,17 @@
 //===- incr/IncrementalVerifier.cpp - O(patch) re-verification ------------===//
 //
-// The re-verification loop: dirty cards say which chunk scans a patch
-// invalidated, the ChunkCache resolves each dirty chunk by content (a
-// reverted patch is a pure hit), and on the accepted steady state the
-// re-merged window is spliced into the maintained merge — replay the
-// chain from the dirty chunk's recorded entry position until it lands
-// back in sync on an untouched chunk base, and only that window's marks
-// change. Everything else (first verdict, rejects, finalize violations)
-// falls back to the full seam-aware merge of core/Shard, which keeps
-// every verdict bit-identical to the sequential checker. Both the scan
-// and the merge are then O(patch), which is the bench gate's >= 5x.
+// The re-verification loop: the dirty list (deduplicated by the dirty
+// cards) says which chunk scans a patch invalidated, the ChunkCache
+// resolves each dirty chunk by content (a reverted patch is a pure
+// hit), and on the accepted steady state the re-merged window is
+// spliced into the maintained merge — replay the chain from the dirty
+// chunk's recorded entry position until it lands back in sync on an
+// untouched chunk base, and only that window's marks change.
+// Everything else (first verdict, rejects, finalize violations) falls
+// back to the full seam-aware merge of core/Shard, which keeps every
+// verdict bit-identical to the sequential checker. Finding the dirty
+// chunks, the scan and the merge are then all O(patch), which is the
+// bench gate's >= 5x.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +80,10 @@ void IncrementalVerifier::patchBytes(ImageId Id, uint32_t Offset,
       FirstC = uint32_t(CPlus1 - 1);
   }
   for (uint32_t C = FirstC; C <= LastC; ++C)
-    E.DirtyCards[C] = 1;
+    if (!E.DirtyCards[C]) {
+      E.DirtyCards[C] = 1;
+      E.DirtyList.push_back(C);
+    }
 }
 
 IncrResult IncrementalVerifier::reverify(ImageId Id) {
@@ -88,10 +93,10 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
   const uint8_t *Code = E.Bytes.data();
   const uint32_t Size = E.size();
   const uint32_t CB = E.ChunkBytes;
-  DirtyIdx.clear();
-  for (uint32_t C = 0; C < E.numChunks(); ++C) {
-    if (!E.DirtyCards[C])
-      continue;
+  // The splice walks dirty chunks in chain order and reads their cards,
+  // so the list is sorted here and the cards are cleared only at the end.
+  std::sort(E.DirtyList.begin(), E.DirtyList.end());
+  for (uint32_t C : E.DirtyList) {
     uint32_t Begin = C * CB;
     uint32_t End = Begin + CB < Size ? Begin + CB : Size;
     ChunkKey K = chunkKey(Code, Size, Begin, End, MaxRead);
@@ -106,7 +111,6 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
       ++Res.ChunksRescanned;
     }
     E.Chunks[C] = std::move(Scan);
-    DirtyIdx.push_back(C); // cards cleared below; the splice reads them
   }
 
   if (!E.Merge.Ok || !spliceReverify(E, Res)) {
@@ -131,8 +135,9 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
       E.Merge.R = std::move(Full); // lastCheck still serves rejects
     }
   }
-  for (uint32_t C : DirtyIdx)
+  for (uint32_t C : E.DirtyList)
     E.DirtyCards[C] = 0;
+  E.DirtyList.clear();
 
   if (Met) {
     Met->ShardsScanned.add(Res.ChunksRescanned);
@@ -154,13 +159,14 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
   // the patch. So the chain up to the first dirty chunk's recorded entry
   // position is unchanged, and the replay below starts there.
   uint32_t NextUncovered = 0;
-  for (uint32_t D : DirtyIdx) {
+  for (uint32_t D : E.DirtyList) {
     if (D < NextUncovered)
       continue; // consumed by the previous segment's replay
 
     const uint32_t Pos0 = M.EntryPos[D];
     uint32_t Pos = Pos0;
     uint32_t I = D;
+    SegChunks.clear();
     SegValid.clear();
     SegPair.clear();
     SegTgt.clear();
@@ -184,10 +190,7 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
         const core::ShardScan &S = *E.Chunks[I];
         if (S.Failed)
           return false; // parse reject: full merge owns truncation
-        for (uint32_t P : S.ValidPos)
-          SegValid.push_back(P);
-        for (uint32_t P : S.PairJmpPos)
-          SegPair.push_back(P);
+        SegChunks.push_back(&S);
         for (uint32_t T : S.TargetPos)
           SegTgt.emplace_back(I, T);
         Pos = S.StopPos;
@@ -215,10 +218,10 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
 
     // Window descriptor for downstream incremental consumers (the
     // linter): does any direct branch currently land strictly inside
-    // the window? TargetCnt still reflects the pre-splice chain here.
+    // the window? R.Target still reflects the pre-splice chain here.
     bool InteriorBefore = false;
     for (uint32_t P = Pos0 + 1; P < WEnd; ++P)
-      if (M.TargetCnt[P]) {
+      if (M.R.Target[P]) {
         InteriorBefore = true;
         break;
       }
@@ -226,14 +229,23 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
     // Splice [Pos0, WEnd): retire the covered chunks' old target
     // contributions, clear the window's positional marks, apply the new.
     for (uint32_t C = D; C < CEnd; ++C) {
-      for (uint32_t T : M.SegTargets[C])
-        if (--M.TargetCnt[T] == 0)
+      for (uint32_t T : M.SegTargets[C]) {
+        auto It = M.TargetCnt.find(T);
+        if (--It->second == 0) {
+          M.TargetCnt.erase(It);
           M.R.Target[T] = 0;
+        }
+      }
       M.SegTargets[C].clear();
     }
     if (Pos0 < WEnd) {
       std::fill(M.R.Valid.begin() + Pos0, M.R.Valid.begin() + WEnd, 0);
       std::fill(M.R.PairJmp.begin() + Pos0, M.R.PairJmp.begin() + WEnd, 0);
+    }
+    for (const core::ShardScan *S : SegChunks) {
+      S->forEachStart([&M](uint32_t P) { M.R.Valid[P] = 1; });
+      for (uint32_t P : S->PairJmpPos)
+        M.R.PairJmp[P] = 1;
     }
     for (uint32_t P : SegValid)
       M.R.Valid[P] = 1;
@@ -258,7 +270,7 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
     // The post-splice interior-target scan sees the applied chain.
     bool InteriorAfter = false;
     for (uint32_t P = Pos0 + 1; P < WEnd; ++P)
-      if (M.TargetCnt[P]) {
+      if (M.R.Target[P]) {
         InteriorAfter = true;
         break;
       }
@@ -286,7 +298,7 @@ void IncrementalVerifier::rebuildMergeState(ImageEntry &E,
   M.R = std::move(R);
   M.EntryPos.assign(N, 0);
   M.SegTargets.assign(N, {});
-  M.TargetCnt.assign(Size, 0);
+  M.TargetCnt.clear();
 
   // Replay the accepted merge once to record where the chain entered
   // each chunk and which chunk each direct jump belongs to. An accepted

@@ -17,9 +17,11 @@
 ///                              (windows overhang chunk ends by the DFA
 ///                              read bound, so a patch near a chunk
 ///                              start also dirties its predecessor);
-///   reverify(id)             — re-scan dirty chunks only (through the
-///                              ChunkCache, so reverting a patch is a
-///                              pure cache hit), then *splice* the
+///   reverify(id)             — re-scan dirty chunks only (walking the
+///                              image's dirty list, never all its
+///                              cards; through the ChunkCache, so
+///                              reverting a patch is a pure cache
+///                              hit), then *splice* the
 ///                              re-merged window into the maintained
 ///                              merge of the last accepted verdict: the
 ///                              chain is replayed from the dirty chunk's
@@ -97,6 +99,8 @@ struct IncrResult {
 
 class IncrementalVerifier {
 public:
+  /// \p M, when given, must outlive the verifier (its chunk cache
+  /// reports into the gauges until destroyed).
   explicit IncrementalVerifier(IncrementalOptions O = {},
                                svc::Metrics *M = nullptr);
   IncrementalVerifier(const core::PolicyTables &T, IncrementalOptions O = {},
@@ -163,9 +167,11 @@ private:
   ChunkCache Cache;
   ImageStore Store;
   std::vector<const core::ShardScan *> MergeScratch; ///< reused per merge
-  std::vector<uint32_t> DirtyIdx;                    ///< reused per reverify
-  std::vector<uint32_t> SegValid, SegPair;           ///< splice scratch
-  std::vector<std::pair<uint32_t, uint32_t>> SegTgt; ///< (chunk, target)
+  /// Splice scratch: the in-sync chunk scans of one window, then the
+  /// seam steps' starts and pair jumps, and every (chunk, target).
+  std::vector<const core::ShardScan *> SegChunks;
+  std::vector<uint32_t> SegValid, SegPair;
+  std::vector<std::pair<uint32_t, uint32_t>> SegTgt;
 };
 
 } // namespace incr

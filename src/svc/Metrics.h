@@ -149,6 +149,11 @@ struct Metrics {
   Counter IncrChunkHits;      ///< chunk-cache lookups satisfied
   Counter IncrChunkMisses;    ///< chunk-cache lookups that re-scanned
   Counter IncrChunkEvictions; ///< LRU evictions from the chunk cache
+  /// Live chunk-cache size, summed over every cache reporting here (one
+  /// per session). Mirrors caches that are still alive, so reset()
+  /// leaves both alone.
+  Gauge IncrChunkEntries;       ///< cached chunk scans
+  Gauge IncrChunkResidentBytes; ///< bytes the caches allocate for them
   Counter SvcImageOpenRequests;  ///< image-open request frames handled
   Counter SvcPatchRequests;      ///< patch request frames handled
   Counter SvcImageCloseRequests; ///< image-close request frames handled
@@ -170,7 +175,8 @@ struct Metrics {
   /// Back-compat alias for exposition() (--stats, benches, tests).
   std::string dump() const { return exposition(); }
 
-  /// Zeroes everything (tests and benches between phases).
+  /// Zeroes everything but the live chunk-cache gauges (tests and benches
+  /// between phases).
   void reset();
 };
 

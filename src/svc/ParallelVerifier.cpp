@@ -104,22 +104,17 @@ void ParallelVerifier::runSpliceJob(void *Ctx) {
   SpliceJob &J = *static_cast<SpliceJob *>(Ctx);
   const core::ShardScan &S = *J.Scan;
   core::CheckResult &R = *J.R;
-  for (uint32_t P : S.ValidPos)
-    R.Valid[P] = 1;
+  S.forEachStart([&R](uint32_t P) { R.Valid[P] = 1; });
   for (uint32_t P : S.PairJmpPos) // always inside [Begin, StopPos)
     R.PairJmp[P] = 1;
   // First bundle boundary in [Begin, StopPos) that is not a chain
-  // position: merge-walk the (ascending) chain against the boundaries.
+  // position.
   J.FirstUnaligned = UINT32_MAX;
-  size_t Idx = 0;
-  for (uint32_t B = S.Begin; B < S.StopPos; B += core::BundleSize) {
-    while (Idx < S.ValidPos.size() && S.ValidPos[Idx] < B)
-      ++Idx;
-    if (Idx >= S.ValidPos.size() || S.ValidPos[Idx] != B) {
+  for (uint32_t B = S.Begin; B < S.StopPos; B += core::BundleSize)
+    if (!S.isStart(B)) {
       J.FirstUnaligned = B;
       break;
     }
-  }
 }
 
 core::CheckResult ParallelVerifier::spliceParallel(uint32_t Size) {

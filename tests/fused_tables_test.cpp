@@ -391,12 +391,14 @@ TEST(FusedTables, WholeImageLockstepOnMixedCorpus) {
 }
 
 /// The per-shard reference: the legacy verifyStep chain from S.Begin
-/// while the position is below S.End, recorded into \p S's lists.
+/// while the position is below S.End, recorded into \p S's lists and
+/// the chain's starts into \p Starts.
 void referenceShardScan(const PolicyTables &T, const uint8_t *Code,
-                        uint32_t Size, ShardScan &S) {
+                        uint32_t Size, ShardScan &S,
+                        std::vector<uint32_t> &Starts) {
   uint32_t Pos = S.Begin;
   while (Pos < S.End) {
-    S.ValidPos.push_back(Pos);
+    Starts.push_back(Pos);
     uint32_t Dest = 0;
     switch (verifyStep(T, Code, &Pos, Size, &Dest)) {
     case StepKind::MaskedJump:
@@ -433,8 +435,10 @@ TEST(FusedTables, ShardScanMergeLockstepAcrossSeams) {
       std::vector<ShardScan> LegacyShards;
       partitionShards(Size, N, LegacyShards);
       for (size_t I = 0; I < Shards.size(); ++I) {
-        referenceShardScan(T, Img.data(), Size, LegacyShards[I]);
-        ASSERT_EQ(Shards[I].ValidPos, LegacyShards[I].ValidPos);
+        std::vector<uint32_t> RefStarts, Starts;
+        referenceShardScan(T, Img.data(), Size, LegacyShards[I], RefStarts);
+        Shards[I].forEachStart([&Starts](uint32_t Q) { Starts.push_back(Q); });
+        ASSERT_EQ(Starts, RefStarts);
         ASSERT_EQ(Shards[I].TargetPos, LegacyShards[I].TargetPos);
         ASSERT_EQ(Shards[I].PairJmpPos, LegacyShards[I].PairJmpPos);
         ASSERT_EQ(Shards[I].StopPos, LegacyShards[I].StopPos);

@@ -2,11 +2,12 @@
 //
 // The incremental re-verification subsystem: every verdict an
 // IncrementalVerifier produces — after open, after any sequence of
-// patches, across chunk geometries, cache pressure, and accept/reject
-// flips — must be bit-identical to a full RockSalt::check of the
-// image's current bytes (verdict, reject reason, and all three
-// bitmaps). Plus the ChunkCache's LRU/counter contract, the scan-read
-// bound's sanity, and the loud failure of every invalid request.
+// patches (one or several per reverify), across chunk geometries,
+// cache pressure, and accept/reject flips — must be bit-identical to a
+// full RockSalt::check of the image's current bytes (verdict, reject
+// reason, and all three bitmaps). Plus the ChunkCache's LRU, counter
+// and gauge contract, the scan-read bound's sanity, and the loud
+// failure of every invalid request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 using namespace rocksalt;
@@ -97,6 +101,16 @@ TEST(IncrTest, ChunkCacheLruEvictionAndCounters) {
 
   EXPECT_EQ(C.lookup(keyOf(1)), nullptr); // miss
   C.insert(keyOf(1), dummyScan(0));
+  // The live gauges follow every insert. The counted bytes cover at
+  // least the scan with its start bitmap (two words for a 32-byte
+  // chunk) and its shared_ptr control block, plus the key and the
+  // shared_ptr in the cache's own node.
+  EXPECT_EQ(M.IncrChunkEntries.get(), 1);
+  EXPECT_EQ(M.IncrChunkResidentBytes.get(), int64_t(C.residentBytes()));
+  EXPECT_GE(C.residentBytes(),
+            sizeof(core::ShardScan) + 2 * sizeof(uint64_t) +
+                2 * sizeof(void *) + sizeof(incr::ChunkKey) +
+                sizeof(std::shared_ptr<const core::ShardScan>));
   C.insert(keyOf(2), dummyScan(32));
   EXPECT_NE(C.lookup(keyOf(1)), nullptr); // hit; 1 now most recent
   C.insert(keyOf(3), dummyScan(64));      // evicts 2 (LRU), not 1
@@ -112,20 +126,81 @@ TEST(IncrTest, ChunkCacheLruEvictionAndCounters) {
   EXPECT_EQ(M.IncrChunkHits.get(), 3u);
   EXPECT_EQ(M.IncrChunkMisses.get(), 2u);
   EXPECT_EQ(M.IncrChunkEvictions.get(), 1u);
+  EXPECT_EQ(M.IncrChunkEntries.get(), 2);
+  EXPECT_EQ(M.IncrChunkResidentBytes.get(), int64_t(C.residentBytes()));
+  EXPECT_NE(M.exposition().find("incr_chunk_entries 2\n"), std::string::npos);
+  EXPECT_NE(M.exposition().find("incr_chunk_resident_bytes " +
+                                std::to_string(C.residentBytes()) + "\n"),
+            std::string::npos);
+  M.reset(); // the gauges mirror a live cache: reset leaves them
+  EXPECT_EQ(M.IncrChunkEntries.get(), 2);
+  EXPECT_EQ(M.IncrChunkHits.get(), 0u);
+
+  {
+    // Gauges sum over every cache sharing the metrics (one per session)
+    // and a destroyed cache takes its share out.
+    incr::ChunkCache Other(O, &M);
+    Other.insert(keyOf(9), dummyScan(0));
+    EXPECT_EQ(M.IncrChunkEntries.get(), 3);
+    EXPECT_EQ(M.IncrChunkResidentBytes.get(),
+              int64_t(C.residentBytes() + Other.residentBytes()));
+  }
+  EXPECT_EQ(M.IncrChunkEntries.get(), 2);
+  EXPECT_EQ(M.IncrChunkResidentBytes.get(), int64_t(C.residentBytes()));
 
   C.clear();
   EXPECT_EQ(C.size(), 0u);
   EXPECT_EQ(C.hits(), 3u); // counters keep their totals
+  EXPECT_EQ(C.residentBytes(), 0u);
+  EXPECT_EQ(M.IncrChunkEntries.get(), 0);
+  EXPECT_EQ(M.IncrChunkResidentBytes.get(), 0);
+}
+
+TEST(IncrTest, ChunkCacheLruMatchesModel) {
+  // Random lookups and inserts against a recency-ordered key list: the
+  // cache must hold exactly the model's keys after every operation.
+  svc::Metrics M;
+  incr::ChunkCacheOptions O;
+  O.MaxEntries = 8;
+  incr::ChunkCache C(O, &M);
+  std::vector<uint8_t> Model; // front = most recent
+  auto Touch = [&Model](uint8_t Tag) {
+    Model.erase(std::remove(Model.begin(), Model.end(), Tag), Model.end());
+    Model.insert(Model.begin(), Tag);
+  };
+  Rng R(7);
+  for (int Op = 0; Op < 2000; ++Op) {
+    uint8_t Tag = uint8_t(R.below(20));
+    bool InModel = std::find(Model.begin(), Model.end(), Tag) != Model.end();
+    if (R.flip()) {
+      EXPECT_EQ(C.lookup(keyOf(Tag)) != nullptr, InModel);
+      if (InModel)
+        Touch(Tag);
+    } else {
+      C.insert(keyOf(Tag), dummyScan(32 * Tag));
+      Touch(Tag);
+      if (Model.size() > O.MaxEntries)
+        Model.pop_back();
+    }
+    ASSERT_EQ(C.size(), Model.size());
+    EXPECT_EQ(M.IncrChunkEntries.get(), int64_t(Model.size()));
+  }
+  for (uint8_t Tag : Model) // lookups reorder, but the set is checked
+    EXPECT_NE(C.lookup(keyOf(Tag)), nullptr);
 }
 
 TEST(IncrTest, ChunkCacheByteBudgetEvicts) {
+  svc::Metrics M;
   incr::ChunkCacheOptions O;
   O.MaxBytes = 1; // any entry overflows: at most one survives insertion
-  incr::ChunkCache C(O);
+  incr::ChunkCache C(O, &M);
   C.insert(keyOf(1), dummyScan(0));
   auto Held = C.insert(keyOf(2), dummyScan(32));
   EXPECT_LE(C.size(), 1u);
   EXPECT_GE(C.evictions(), 1u);
+  // The evicted entry left the gauges.
+  EXPECT_EQ(M.IncrChunkEntries.get(), int64_t(C.size()));
+  EXPECT_EQ(M.IncrChunkResidentBytes.get(), int64_t(C.residentBytes()));
   // Shared ownership: the caller's pointer survives eviction.
   EXPECT_NE(Held, nullptr);
   EXPECT_EQ(Held->Begin, 32u);
@@ -233,6 +308,91 @@ TEST(IncrTest, RandomPatchSequencesStayBitIdentical) {
       expectBitIdentical(V, Id, Img, "random step");
     }
     V.close(Id);
+  }
+}
+
+TEST(IncrTest, BatchedPatchesThenOneReverify) {
+  // Several patchBytes calls before one reverify: the dirty list must
+  // stay deduplicated and sorted, and the splice must walk several dirty
+  // ranges in one pass. Every reverify re-resolves exactly the chunks
+  // whose scan window some patch touched and is cross-checked against a
+  // full check; the scripted batches overwrite whole bundles with nops,
+  // which keeps the image accepted, so they must take the splice with
+  // one window per run of adjacent dirty chunks.
+  const std::vector<uint8_t> Nops(4 * core::BundleSize, 0x90);
+  for (uint32_t CB : {32u, 128u, 512u}) {
+    std::vector<uint8_t> Img = workload(16 * 512, 21 + CB);
+    const uint32_t Size = uint32_t(Img.size());
+    ASSERT_GE(Size, 14 * 512u);
+    incr::IncrementalOptions IO;
+    IO.ChunkBytes = CB;
+    incr::IncrementalVerifier V(IO);
+    incr::ImageId Id = V.open(Img);
+    ASSERT_TRUE(V.lastCheck(Id).Ok);
+    const uint32_t MaxRead = V.maxReadBytes();
+
+    std::set<uint32_t> Dirty; // chunks whose window a patch met
+    auto Patch = [&](uint32_t Off, const uint8_t *Bytes, uint32_t Len) {
+      std::copy(Bytes, Bytes + Len, Img.begin() + Off);
+      V.patchBytes(Id, Off, Bytes, Len);
+      for (uint32_t C = 0; C * CB < Size; ++C)
+        if (C * CB < Off + Len && (C + 1) * CB - 1 + MaxRead > Off)
+          Dirty.insert(C);
+    };
+    auto NopBundles = [&](uint32_t Off, uint32_t Bundles) {
+      Patch(Off, Nops.data(), Bundles * core::BundleSize);
+    };
+    auto Reverify = [&](const std::string &What, bool Scripted) {
+      SCOPED_TRACE(What + ", chunk " + std::to_string(CB));
+      incr::IncrResult R = V.reverify(Id);
+      EXPECT_EQ(R.ChunksRescanned + R.ChunkCacheHits, Dirty.size());
+      if (Scripted) {
+        size_t Runs = 0;
+        for (uint32_t C : Dirty)
+          Runs += C == 0 || !Dirty.count(C - 1);
+        EXPECT_TRUE(R.Ok);
+        EXPECT_TRUE(R.Spliced);
+        EXPECT_EQ(R.Windows.size(), Runs);
+      }
+      Dirty.clear();
+      expectBitIdentical(V, Id, Img, What.c_str());
+    };
+
+    // The same chunk twice, then a lower chunk: descending offsets.
+    NopBundles(5 * CB, 1);
+    NopBundles(5 * CB, 1);
+    NopBundles(5 * CB + CB - core::BundleSize, 1);
+    NopBundles(2 * CB, 1);
+    Reverify("same chunk twice, descending", true);
+
+    // Overlapping patches, one straddling the base of chunk 8.
+    NopBundles(8 * CB - core::BundleSize, 2);
+    NopBundles(8 * CB, 1);
+    NopBundles(11 * CB, 2);
+    NopBundles(11 * CB + core::BundleSize, 2);
+    Reverify("overlapping, chunk straddle", true);
+
+    // A patch at a chunk base dirties its predecessor through the read
+    // window's overhang; patches in both neighbours share one window.
+    NopBundles(13 * CB, 1);
+    NopBundles(12 * CB - core::BundleSize, 1);
+    NopBundles(3 * CB, 1);
+    Reverify("predecessor overhang", true);
+
+    // Random batches of 2-6 patches, rejects and cache hits included.
+    Rng R(99 + CB);
+    for (int Step = 0; Step < 40; ++Step) {
+      uint32_t N = uint32_t(R.range(2, 6));
+      for (uint32_t P = 0; P < N; ++P) {
+        uint32_t Len = uint32_t(R.range(1, 2 * core::BundleSize));
+        uint32_t Off = uint32_t(R.below(Size - Len + 1));
+        std::vector<uint8_t> Bytes(Len);
+        for (uint8_t &B : Bytes)
+          B = R.below(4) ? uint8_t(0x90) : uint8_t(R.next());
+        Patch(Off, Bytes.data(), Len);
+      }
+      Reverify("random batch " + std::to_string(Step), false);
+    }
   }
 }
 

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 using namespace rocksalt;
 using namespace rocksalt::sem;
 using namespace rocksalt::x86;
@@ -26,12 +28,25 @@ namespace {
 struct FlagCase {
   Opcode Op;
   bool W; // false = 8-bit
+  /// gtest names each case after the bytes of its FlagCase, so the two
+  /// bytes between W and A are a field, not padding: as padding they held
+  /// leftover stack bytes and the case names changed from run to run. A
+  /// non-zero tag keeps the name a case is already known by.
+  uint16_t NameTag;
   uint32_t A;
   uint32_t B;
   int CfIn; // -1: none
   uint32_t Result;
   int CF, OF, SF, ZF, AF, PF;
+
+  FlagCase(Opcode Op, bool W, uint32_t A, uint32_t B, int CfIn,
+           uint32_t Result, int CF, int OF, int SF, int ZF, int AF, int PF,
+           uint16_t NameTag = 0)
+      : Op(Op), W(W), NameTag(NameTag), A(A), B(B), CfIn(CfIn),
+        Result(Result), CF(CF), OF(OF), SF(SF), ZF(ZF), AF(AF), PF(PF) {}
 };
+static_assert(sizeof(FlagCase) == 44 && offsetof(FlagCase, A) == 4,
+              "FlagCase must have no padding: its bytes name the cases");
 
 class FlagVector : public ::testing::TestWithParam<FlagCase> {};
 
@@ -101,40 +116,41 @@ INSTANTIATE_TEST_SUITE_P(
                  0, 1, 1},
         FlagCase{Opcode::ADD, true, 0x0F, 1, -1, 0x10, 0, 0, 0, 0, 1, 0},
         FlagCase{Opcode::ADD, false, 0x80, 0x80, -1, 0x00, 1, 1, 0, 1, 0,
-                 1},
+                 1, 0x1B01},
         FlagCase{Opcode::ADD, false, 0x7F, 0x01, -1, 0x80, 0, 1, 1, 0, 1,
                  0}));
 
 INSTANTIATE_TEST_SUITE_P(
     Sub, FlagVector,
     ::testing::Values(
-        FlagCase{Opcode::SUB, true, 5, 3, -1, 2, 0, 0, 0, 0, 0, 0},
+        FlagCase{Opcode::SUB, true, 5, 3, -1, 2, 0, 0, 0, 0, 0, 0, 0x2F64},
         FlagCase{Opcode::SUB, true, 3, 5, -1, 0xFFFFFFFE, 1, 0, 1, 0, 1,
-                 0},
+                 0, 0x7C00},
         FlagCase{Opcode::SUB, true, 0x80000000, 1, -1, 0x7FFFFFFF, 0, 1, 0,
                  0, 1, 1},
         FlagCase{Opcode::SUB, true, 7, 7, -1, 0, 0, 0, 0, 1, 0, 1},
         FlagCase{Opcode::CMP, true, 3, 5, -1, 3 /*unchanged*/, 1, 0, 1, 0,
-                 1, 0}));
+                 1, 0, 0xABF3}));
 
 INSTANTIATE_TEST_SUITE_P(
     CarryChains, FlagVector,
     ::testing::Values(
         FlagCase{Opcode::ADC, true, 0xFFFFFFFF, 0, 1, 0, 1, 0, 0, 1, 1, 1},
         FlagCase{Opcode::ADC, true, 1, 1, 1, 3, 0, 0, 0, 0, 0, 1},
-        FlagCase{Opcode::SBB, true, 0, 0, 1, 0xFFFFFFFF, 1, 0, 1, 0, 1, 1},
+        FlagCase{Opcode::SBB, true, 0, 0, 1, 0xFFFFFFFF, 1, 0, 1, 0, 1, 1,
+                 0xAAB1},
         FlagCase{Opcode::SBB, true, 5, 2, 1, 2, 0, 0, 0, 0, 0, 0},
         FlagCase{Opcode::ADC, false, 0xFF, 0xFF, 1, 0xFF, 1, 0, 1, 0, 1,
-                 1}));
+                 1, 0xABF3}));
 
 INSTANTIATE_TEST_SUITE_P(
     Logic, FlagVector,
     ::testing::Values(
         FlagCase{Opcode::AND, true, 0xFF00FF00, 0x0F0F0F0F, -1, 0x0F000F00,
-                 0, 0, 0, 0, 0, 1},
+                 0, 0, 0, 0, 0, 1, 0xAAB1},
         FlagCase{Opcode::OR, true, 0, 0, -1, 0, 0, 0, 0, 1, 0, 1},
         FlagCase{Opcode::XOR, true, 0xAAAAAAAA, 0xAAAAAAAA, -1, 0, 0, 0, 0,
-                 1, 0, 1},
+                 1, 0, 1, 0xCD71},
         FlagCase{Opcode::TEST, true, 0x80000000, 0x80000000, -1,
                  0x80000000 /*unchanged*/, 0, 0, 1, 0, 0, 1}));
 
@@ -148,9 +164,9 @@ INSTANTIATE_TEST_SUITE_P(
         FlagCase{Opcode::DEC, false, 0x80, 0, 1, 0x7F, 1, 1, 0, 0, 1, 0},
         FlagCase{Opcode::NEG, true, 1, 0, -1, 0xFFFFFFFF, 1, 0, 1, 0, 1,
                  1},
-        FlagCase{Opcode::NEG, true, 0, 0, -1, 0, 0, 0, 0, 1, 0, 1},
+        FlagCase{Opcode::NEG, true, 0, 0, -1, 0, 0, 0, 0, 1, 0, 1, 0x7C16},
         FlagCase{Opcode::NEG, true, 0x80000000, 0, -1, 0x80000000, 1, 1, 1,
-                 0, 0, 1}));
+                 0, 0, 1, 0xAAB1}));
 
 INSTANTIATE_TEST_SUITE_P(
     Shifts, FlagVector,
@@ -173,7 +189,7 @@ INSTANTIATE_TEST_SUITE_P(
         FlagCase{Opcode::ROR, true, 0x00000001, 1, -1, 0x80000000, 1, 1,
                  -1, -1, -1, -1},
         FlagCase{Opcode::RCL, false, 0x80, 1, 1, 0x01, 1, 1, -1, -1, -1,
-                 -1},
+                 -1, 0xABF3},
         // RCR result 0x80: OF = msb ^ msb-1 of the result = 1.
         FlagCase{Opcode::RCR, false, 0x01, 1, 1, 0x80, 1, 1, -1, -1, -1,
                  -1}));
