@@ -10,10 +10,11 @@
 //
 // Experiment E16 (this repo): the fused cache-resident engine vs the
 // legacy three-table engine. The fused transition array (18.75 KiB,
-// 8-bit ids) plus run skipping replaces the legacy per-byte walk in
-// every production path; this bench measures both engines on the same
-// 1 MiB accepted image, certifies verdict lockstep on the bench corpus,
-// emits the measured trajectory as JSON lines (BENCH_checker.json when
+// 8-bit ids), walked by the NoControlFlow sweep and the fused chain
+// step, replaces the legacy per-byte walk in every production path;
+// this bench measures both engines on the same 1 MiB accepted image,
+// certifies verdict lockstep on the bench corpus, emits the measured
+// trajectory as JSON lines (BENCH_checker.json when
 // ROCKSALT_BENCH_JSON is set), and **exits non-zero when the fused
 // path stops beating the legacy path by the pinned factor** — the
 // regression gate for the verify hot loop.
@@ -207,12 +208,12 @@ int main(int argc, char **argv) {
 
   std::printf("\n--- E16: fused cache-resident engine vs legacy ---\n");
   std::printf("image: %.1f MiB accepted workload; fused table %.2f KiB "
-              "(legacy %.1f KiB), safe bytes %u/256, run skip %s\n",
+              "(legacy %.1f KiB), safe bytes %u/256\n",
               MiB, P.F.Trans.size() / 1024.0,
               (core::NoControlFlowStates + core::DirectJumpStates +
                core::MaskedJumpStates) *
                   256 * 2 / 1024.0,
-              P.SafeCount, P.RunSkip ? "on" : "off");
+              P.SafeCount);
   std::printf("%-28s %10s %12s\n", "engine", "ms/image", "MB/s");
   std::printf("%-28s %10.3f %12.1f\n", "fused verifyImage", FusedMs, FusedMBs);
   std::printf("%-28s %10.3f %12.1f\n", "fused check (instrumented)",

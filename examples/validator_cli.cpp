@@ -31,7 +31,7 @@
 // --isa x86|mips selects which registry entry (core/TableRegistry.h)
 // the table-facing modes operate on: --isa mips checks images with the
 // MIPS policy checker (mips/MipsPolicy.h), audits the MIPS tables under
-// the same 13 obligations, and dumps/loads MIPS-tagged RSTB blobs.
+// the same 14 obligations, and dumps/loads MIPS-tagged RSTB blobs.
 // x86-only diagnostics (--disassemble, --explain, --lint) are rejected
 // under --isa mips.
 //

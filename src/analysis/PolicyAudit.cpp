@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 
 using namespace rocksalt;
 using namespace rocksalt::analysis;
@@ -134,6 +135,76 @@ AuditFinding minimizeCheck(const NamedDfa &A, const re::Dfa &Min) {
   return F;
 }
 
+/// The verify lanes' byte classes (core::FusedPolicy), decided against
+/// the source tables for every suffix. Each class licenses a shortcut:
+/// the sweep takes a non-exceptional start as NoControlFlow-only, the
+/// chain step skips MaskedJump on a byte that is not MaskedJump-alive,
+/// the 0F escape keeps a start in the sweep when its second byte kills
+/// DirectJump, and the sweep restarts through accepting rows. "Dead" is
+/// read from re::liveMask, not from the Rejects flags the classes were
+/// derived from, so tables whose flags lie fail here with the byte
+/// string the shortcut would misjudge.
+AuditFinding fusedClassesCheck(const core::PolicyTables &T) {
+  AuditFinding F;
+  F.Check = "fused-classes";
+  core::FusedPolicy P;
+  try {
+    P = core::buildFusedPolicy(T);
+  } catch (const std::exception &E) {
+    F.Detail = std::string("tables do not fuse: ") + E.what();
+    return F;
+  }
+  auto Fail = [&F](std::vector<uint8_t> W, const char *Why) {
+    F.Witness = std::move(W);
+    F.Detail = std::string(Why) + ": " + hexBytes(F.Witness);
+    return F;
+  };
+  const re::Dfa &Mj = T.MaskedJump, &Ncf = T.NoControlFlow, &Dj = T.DirectJump;
+  std::vector<uint8_t> MjLive = re::liveMask(Mj), DjLive = re::liveMask(Dj);
+  for (uint32_t B = 0; B < 256; ++B) {
+    uint8_t Byte = uint8_t(B);
+    uint32_t N1 = Ncf.Table[Ncf.Start][B], D1 = Dj.Table[Dj.Start][B];
+    if ((!P.MjAliveByte[B] || P.ExcByte[B] != 1) &&
+        MjLive[Mj.Table[Mj.Start][B]])
+      return Fail({Byte}, "MaskedJump is live on a byte the lanes skip it on");
+    if (!P.ExcByte[B] && !P.SafeByte[B] && DjLive[D1])
+      return Fail({Byte}, "DirectJump is live on a non-exceptional byte");
+    if (P.SafeByte[B] && !(Ncf.Accepts[N1] && !Ncf.Rejects[N1]))
+      return Fail({Byte}, "a safe byte is not a one-byte NoControlFlow");
+    if (P.ExcByte[B] == 2)
+      for (uint32_t B1 = 0; B1 < 256; ++B1)
+        if (P.Exc2Dead[B1] && DjLive[Dj.Table[D1][B1]])
+          return Fail({Byte, uint8_t(B1)},
+                      "DirectJump is live past an escaping second byte");
+  }
+  // Restart rows: an accepting state's fused row is its sub-DFA's start
+  // row, in the order of core::FusedSub.
+  const re::Dfa *Subs[3] = {&Mj, &Ncf, &Dj};
+  for (unsigned K = 0; K < 3; ++K) {
+    const re::Dfa &D = *Subs[K];
+    for (uint32_t S = 0; S < D.numStates(); ++S) {
+      uint8_t Fid = P.F.id(K, S);
+      if (!P.F.accepts(Fid))
+        continue;
+      for (uint32_t B = 0; B < 256; ++B) {
+        if (P.F.step(Fid, uint8_t(B)) == P.F.id(K, D.Table[D.Start][B]))
+          continue;
+        re::Dfa To = D; // the shortest string reaching S, then B
+        To.Accepts.assign(D.numStates(), 0);
+        To.Accepts[S] = 1;
+        std::vector<uint8_t> W = re::shortestAccepted(To).value_or(
+            std::vector<uint8_t>{});
+        W.push_back(uint8_t(B));
+        return Fail(std::move(W), "an accepting row is not a restart row");
+      }
+    }
+  }
+  F.Pass = true;
+  F.Detail = "sweep bytes, MaskedJump gate, second-byte escape and "
+             "restart rows are exact for every suffix";
+  return F;
+}
+
 } // namespace
 
 const AuditFinding *AuditReport::find(std::string_view Check) const {
@@ -216,6 +287,8 @@ AuditReport analysis::auditPolicy(const core::PolicyTables &T,
                std::to_string(PaperMaxPolicyStates) + ")";
     R.Findings.push_back(std::move(F));
   }
+
+  R.Findings.push_back(fusedClassesCheck(T));
 
   R.Pass = true;
   for (const AuditFinding &F : R.Findings)

@@ -33,7 +33,13 @@
 ///                          language-equivalent to it (certifies the
 ///                          minimized state counts reported below);
 ///  * state-bound         — the largest minimized policy DFA stays within
-///                          the paper's 61-state claim.
+///                          the paper's 61-state claim;
+///  * fused-classes       — every byte class the verify lanes branch on
+///                          (core::FusedPolicy: the sweep's exceptional
+///                          bytes, the MaskedJump gate, the 0F escape,
+///                          restart rows) licenses only shortcuts the
+///                          three Figure-6 walks also take, for every
+///                          suffix, judged by the tables' live states.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,7 +120,7 @@ AuditReport auditPolicy(const core::PolicyTables &T, const DecoderDfas &X);
 AuditReport auditShippedPolicy();
 
 /// Audits the registry's MIPS tables (mips::mipsTableEntry()) against
-/// the MIPS decoder references — the same 13 obligations as x86
+/// the MIPS decoder references — the same 14 obligations as x86
 /// (`mips_meta_audit` gate).
 AuditReport auditMipsPolicy();
 

@@ -22,15 +22,14 @@
 /// over the separate uint16-id tables — and stay the differential
 /// reference every production path is certified against. `driveChain`
 /// is the production engine over the fused tables (core::FusedPolicy),
-/// with three lanes: safe-byte run skipping (`safeRunEnd`), the
-/// branchless NoControlFlow sweep (core/NcfSweep.h) and the full chain
-/// step (`chainStep`). All three lanes engage from table-derived byte
-/// classes only. DESIGN.md section 15 gives the equivalence argument.
+/// with two lanes: the branchless NoControlFlow sweep
+/// (core/NcfSweep.h) and the full chain step (`chainStep`). Both lanes
+/// engage from table-derived byte classes only. DESIGN.md section 15
+/// gives the equivalence argument.
 ///
 /// A sink provides:
 ///
 ///   static constexpr bool TrackFailStart; // sweep fails report the start
-///   void run(uint32_t Begin, uint32_t End); // one-byte starts [Begin, End)
 ///   void mark(uint32_t Q, uint8_t IsStart); // every byte the sweep eats
 ///   void start(uint32_t Q);                 // a full chain step's start
 ///   void pairJump(uint32_t Q);              // a masked pair's jump half
@@ -43,8 +42,6 @@
 
 #include "core/NcfSweep.h"
 #include "core/Verifier.h"
-
-#include <algorithm>
 
 namespace rocksalt {
 namespace core {
@@ -137,26 +134,18 @@ CheckResult referenceCheck(const PolicyTables &T, const uint8_t *Code,
 }
 
 //===----------------------------------------------------------------------===//
-// The production driver (fused tables, three lanes)
+// The production chain (fused tables, two lanes)
 //===----------------------------------------------------------------------===//
 
 /// One chain step over the fused tables: the identical decisions and
-/// *Pos movement to referenceStep. The chain-safe fast return and the
-/// MjAliveByte gate are exact consequences of the start-state rows
-/// (core/Policy.h).
+/// *Pos movement to referenceStep. The MjAliveByte gate is an exact
+/// consequence of MaskedJump's start row (core/Policy.h).
 template <typename Isa>
 StepKind chainStep(const FusedPolicy &P, const uint8_t *Code, uint32_t *Pos,
                    uint32_t Size, uint32_t *TargetOut) {
   uint32_t SavedPos = *Pos;
   if (SavedPos < Size) {
     uint8_t B0 = Code[SavedPos];
-    // Chain-safe byte: MaskedJump's first transition rejects and
-    // NoControlFlow's accepts, so the whole chain step is decided here
-    // — "NoControlFlow, length 1" — for any suffix.
-    if (P.SafeByte[B0]) {
-      ++*Pos;
-      return StepKind::NoControlFlow;
-    }
     // MjAliveByte gate: when MaskedJump's first transition on B0 is a
     // reject, dfaMatch over it returns false after one step — skip the
     // walk entirely. Exact: an alive first transition (continue OR
@@ -189,17 +178,7 @@ bool driveChain(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
   uint32_t Q = *Pos;
   while (Q < Limit) {
     uint8_t B0 = Code[Q];
-    // Lane 1, run skipping: a run of chain-safe bytes is a sequence of
-    // one-byte NoControlFlow steps whatever follows it, so every
-    // position in the run is a start. The scan is clamped to Limit, so
-    // a run reaching it stops exactly there, like the per-step chain.
-    if (P.RunSkip && P.SafeByte[B0]) {
-      uint32_t End = safeRunEnd(P, Code, Q, Limit);
-      K.run(Q, End);
-      Q = End;
-      continue;
-    }
-    // Lane 2, the NoControlFlow sweep: every step it covers could only
+    // Lane 1, the NoControlFlow sweep: every step it covers could only
     // resolve as NoControlFlow, so it records starts and nothing else,
     // and stops at the first start at or past Limit.
     if (P.ExcByte[B0] != 1) {
@@ -207,7 +186,7 @@ bool driveChain(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
           P, Code, Size, Limit, &Q,
           [&K](uint32_t At, uint8_t IsStart) { K.mark(At, IsStart); })) {
       case detail::SweepStop::ExcStart:
-        break; // lane 3 takes the exceptional start
+        break; // lane 2 takes the exceptional start
       case detail::SweepStop::Bound:
       case detail::SweepStop::CleanEnd:
         continue; // Q >= Limit (or == Size): the loop exits
@@ -216,7 +195,7 @@ bool driveChain(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
         return false;
       }
     }
-    // Lane 3, the full Figure-5 step.
+    // Lane 2, the full Figure-5 step.
     K.start(Q);
     uint32_t Dest = 0;
     switch (chainStep<Isa>(P, Code, &Q, Size, &Dest)) {
@@ -245,9 +224,6 @@ struct ValidBitmapSink {
   static constexpr bool TrackFailStart = false;
   uint8_t *Valid;
 
-  void run(uint32_t Begin, uint32_t End) {
-    std::fill(Valid + Begin, Valid + End, uint8_t(1));
-  }
   void mark(uint32_t Q, uint8_t IsStart) { Valid[Q] = IsStart; }
   void start(uint32_t Q) { Valid[Q] = 1; }
 };

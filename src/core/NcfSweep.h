@@ -1,7 +1,7 @@
 //===- core/NcfSweep.h - The branchless NoControlFlow sweep ----*- C++ -*-===//
 ///
 /// \file
-/// The verify driver's second lane (core/ChainDriver.h): from a chain
+/// The first lane of the verify chain (core/ChainDriver.h): from a chain
 /// position whose byte is non-exceptional, stream bytes through the
 /// fused table — one load per byte; restart rows
 /// (regex/FusedTables.cpp pass 4) make instruction-boundary restarts
@@ -10,9 +10,8 @@
 /// the safe-byte accept priority) DirectJump's first transitions, so
 /// the full Figure-5 step IS the NoControlFlow verdict there; the
 /// sweep hands back to the full chain at the first hard-exceptional
-/// start byte. Skip chains are deliberately not consulted: their
-/// data-dependent branch costs more than the payload loads they save
-/// once the restart is free. DESIGN.md section 15.
+/// start byte. Chain-safe bytes are non-exceptional, so runs of them
+/// are swept like any other NoControlFlow bytes. DESIGN.md section 15.
 ///
 //===----------------------------------------------------------------------===//
 

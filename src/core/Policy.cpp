@@ -279,7 +279,6 @@ FusedPolicy core::buildFusedPolicy(const PolicyTables &T) {
     P.ExcCount += P.ExcByte[B] != 0;
     P.Exc2Count += P.ExcByte[B] == 2;
   }
-  P.RunSkip = P.SafeCount >= RunSkipMinSafeBytes;
   return P;
 }
 

@@ -82,11 +82,6 @@ enum FusedSub : unsigned {
   FusedDirectJump = 2
 };
 
-/// Run skipping only engages when the chain-start safe-byte class is
-/// dense enough that runs actually occur; below this many safe byte
-/// values the per-position class probe is pure overhead.
-constexpr uint32_t RunSkipMinSafeBytes = 8;
-
 /// The verify fast path's working set: the three policy DFAs fused into
 /// one L1-resident 8-bit transition array (regex/FusedTables.h) plus
 /// the per-byte chain-entry classes derived from the start-state rows.
@@ -98,9 +93,8 @@ constexpr uint32_t RunSkipMinSafeBytes = 8;
 /// Figure-5 step is decided by that byte alone: MaskedJump can never
 /// match (dfaMatch dies on its first byte), NoControlFlow matches its
 /// shortest prefix — exactly one byte — and DirectJump is never
-/// consulted. The step is "NoControlFlow, length 1" for ANY suffix, so
-/// a run of safe bytes can be scanned with wide loads and marked
-/// wholesale without touching the DFA at all.
+/// consulted. The verify lanes do not read it; it only refines ExcByte
+/// below (a safe byte is never exceptional).
 ///
 /// MjAliveByte[b] complements it on the slow side: b keeps the
 /// MaskedJump attempt alive (only the few mask-prefix bytes do), so the
@@ -139,7 +133,6 @@ struct FusedPolicy {
   /// one Exc2Dead is derived from); MaxFusedStates when the class is
   /// empty.
   uint32_t Exc2State = re::MaxFusedStates;
-  bool RunSkip = false;      ///< SafeCount >= RunSkipMinSafeBytes
 };
 
 /// Fuses \p T into the verify fast path's layout. Deterministic; pure

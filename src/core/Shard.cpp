@@ -18,7 +18,7 @@ using namespace rocksalt::core;
 namespace {
 
 /// The shard sink: starts are OR-ed into the shard's bitmap words by
-/// all three lanes (the sweep's mid-instruction marks OR a zero);
+/// both lanes (the sweep's mid-instruction marks OR a zero);
 /// targets and pair jumps are sparse and appended.
 struct ShardSink {
   static constexpr bool TrackFailStart = true;
@@ -26,19 +26,6 @@ struct ShardSink {
   uint32_t Base;
   ShardScan &S;
 
-  void run(uint32_t Begin, uint32_t End) {
-    uint32_t Lo = Begin - Base, Hi = End - Base - 1; // inclusive, Lo <= Hi
-    uint64_t First = ~uint64_t(0) << (Lo & 63);
-    uint64_t Last = ~uint64_t(0) >> (63 - (Hi & 63));
-    if (Lo >> 6 == Hi >> 6) {
-      Words[Lo >> 6] |= First & Last;
-      return;
-    }
-    Words[Lo >> 6] |= First;
-    for (uint32_t W = (Lo >> 6) + 1; W < Hi >> 6; ++W)
-      Words[W] = ~uint64_t(0);
-    Words[Hi >> 6] |= Last;
-  }
   // Bytes past S.End are only ever marked as non-starts; the bitmap's
   // slack word takes those writes.
   void mark(uint32_t Q, uint8_t IsStart) {

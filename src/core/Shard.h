@@ -93,12 +93,12 @@ private:
 /// over a freshly `reset` \p S; a final match may overrun past End
 /// (StopPos records where the chain actually stopped, or the failing
 /// instruction's start). Marks exactly the starts the sequential scan
-/// would mark on the same chain, including the failing position. Run
-/// skipping is clamped to S.End (each safe byte is a one-byte step, so
-/// the fresh chain stops exactly where the per-step scan would) and
-/// wide loads never read at or past S.End, so the chunk cache's
-/// scan-window contract (incr/ChunkCache.h) is untouched. The next
-/// shard's first line is prefetched across the seam.
+/// would mark on the same chain, including the failing position. Both
+/// lanes stop at the first instruction start at or past S.End, so what
+/// the scan records depends on no byte past the last instruction begun
+/// below S.End, and the chunk cache's scan-window contract
+/// (incr/ChunkCache.h) is untouched. The next shard's first line is
+/// prefetched across the seam.
 void scanShard(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                ShardScan &S);
 

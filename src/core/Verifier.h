@@ -15,10 +15,10 @@
 ///    PolicyTables). It is the differential reference;
 ///
 ///  * the **production driver** — one L1-resident 8-bit transition
-///    array (core::FusedPolicy) walked in three lanes: safe-byte run
-///    skipping, the branchless NoControlFlow sweep, and the full chain
-///    step (`verifyStep`/`verifyImage` over FusedPolicy, and
-///    `RockSalt`). The parallel and incremental verifiers drive it too.
+///    array (core::FusedPolicy) walked in two lanes: the branchless
+///    NoControlFlow sweep and the full chain step
+///    (`verifyStep`/`verifyImage` over FusedPolicy, and `RockSalt`).
+///    The parallel and incremental verifiers drive it too.
 ///
 /// The two are certified bit-identical (verdict, reject reason, and the
 /// Valid/Target/PairJmp bitmaps) by tests/fused_tables_test.cpp and the
@@ -76,38 +76,6 @@ StepKind verifyStep(const FusedPolicy &P, const uint8_t *Code, uint32_t *Pos,
 
 /// Figure 5 through the production driver (verdict sink).
 bool verifyImage(const FusedPolicy &P, const uint8_t *Code, uint32_t Size);
-
-/// Run skipping: scans forward from \p Pos while bytes stay in the
-/// chain-safe class, returning the first position whose byte is unsafe
-/// (or \p Limit). Every position in [Pos, result) is a one-byte
-/// NoControlFlow step for ANY suffix, so the caller may mark them all
-/// valid without consulting the DFA. Eight flag gathers are AND-folded
-/// per iteration so the branch runs once per 8 bytes on long runs; the
-/// bound checks are written `Limit - Q >= 8` (never `Q + 8 <= Limit`)
-/// so they cannot wrap, and no byte at or past Limit is ever read —
-/// shard and chunk-cache read-window contracts are preserved.
-inline uint32_t safeRunEnd(const FusedPolicy &P, const uint8_t *Code,
-                           uint32_t Pos, uint32_t Limit) {
-  const uint8_t *Safe = P.SafeByte.data();
-  uint32_t Q = Pos;
-  while (Limit - Q >= 8 && Q < Limit) {
-    const uint8_t *B = Code + Q;
-    uint8_t All = uint8_t(Safe[B[0]] & Safe[B[1]] & Safe[B[2]] & Safe[B[3]] &
-                          Safe[B[4]] & Safe[B[5]] & Safe[B[6]] & Safe[B[7]]);
-    if (!All)
-      break;
-    Q += 8;
-#if defined(__GNUC__)
-    // On long runs, pull the next cache line in while the AND-folds of
-    // the current one retire.
-    if (!((Q - Pos) & 63) && Limit - Q >= 64)
-      __builtin_prefetch(Code + Q + 64);
-#endif
-  }
-  while (Q < Limit && Safe[Code[Q]])
-    ++Q;
-  return Q;
-}
 
 /// Why an image was rejected (None when accepted).
 enum class RejectReason : uint8_t {

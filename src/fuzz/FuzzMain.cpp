@@ -16,7 +16,7 @@
 /// incrementally maintained lint of every mutated image to
 /// byte-identical rendered reports; --fused to the fused-vs-reference
 /// lockstep that certifies the production verify driver (fused
-/// transition array, run skipping, NoControlFlow sweep) bit-identical
+/// transition array, NoControlFlow sweep, chain step) bit-identical
 /// to the paper's three-table per-byte walk on every mutated image —
 /// x86 sequentially and through the shard scan/merge under rotating
 /// shard counts, MIPS through checkMips.
@@ -332,18 +332,22 @@ int runLintDifferential(const CliOptions &O, svc::Metrics &M) {
 
   for (uint64_t I = 0; I < O.Images; ++I) {
     uint64_t Seed = O.BaseSeed + I;
+    // Geometry indexes by the seed alone, as in the patch differential,
+    // so the one-image repro line rebuilds the same image, truncation,
+    // chunk size and shard counts.
+    const uint64_t Rot = Seed - 1;
     nacl::WorkloadOptions WO;
-    WO.TargetBytes = O.Size + uint32_t(I % 5) * 128;
+    WO.TargetBytes = O.Size + uint32_t(Rot % 5) * 128;
     WO.Seed = Seed;
     std::vector<uint8_t> Bytes = nacl::generateWorkload(WO);
     Rng ImgRng(mutationSeed(Seed, 0));
-    if (I % 4 == 3 && Bytes.size() > core::BundleSize)
+    if (Rot % 4 == 3 && Bytes.size() > core::BundleSize)
       Bytes.resize(Bytes.size() - 1 - ImgRng.below(core::BundleSize - 1));
     if (Bytes.empty())
       continue;
 
     incr::IncrementalOptions IO;
-    IO.ChunkBytes = ChunkRotation[I % std::size(ChunkRotation)];
+    IO.ChunkBytes = ChunkRotation[Rot % std::size(ChunkRotation)];
     incr::IncrementalVerifier Incr(T, IO, &M);
     analysis::IncrementalLinter Lint(T, &M);
 
@@ -374,7 +378,7 @@ int runLintDifferential(const CliOptions &O, svc::Metrics &M) {
       }
 
       uint32_t Shards =
-          ShardRotation[(I + Step) % std::size(ShardRotation)];
+          ShardRotation[(Rot + Step) % std::size(ShardRotation)];
       analysis::CfgLintResult Shd = analysis::lintImageFromShards(
           FP, Bytes.data(), uint32_t(Bytes.size()), Shards, &M);
       ++Compared;
@@ -421,14 +425,17 @@ std::vector<uint8_t> truncateTail(std::vector<uint8_t> Img, uint32_t Bundle,
 /// image runs through the reference walk (`checkLegacy`) and through
 /// the production driver three ways — the sequential instrumented
 /// check, the bare Figure-5 boolean, and the fused shard scan +
-/// seam-aware merge under rotating shard counts (so run skipping is
-/// exercised against shard limits, not just image ends). Every MIPS
+/// seam-aware merge under rotating shard counts (so the sweep's stop
+/// at a shard limit is exercised, not just image ends). Every MIPS
 /// image (fuzz/MipsGen.h, same seed and iteration) runs through
 /// `checkMipsReference` and the fused `checkMips`. All fused results
 /// must be bit-identical to the reference: verdict, reject reason, and
 /// the Valid/Target/PairJmp bitmaps. A quarter of the iterations
-/// tail-truncate the image to a non-bundle-multiple size so the
-/// run-skip tail and truncated-instruction rejects stay in the loop.
+/// tail-truncate the image to a non-bundle-multiple size so the sweep's
+/// image-end exit and truncated-instruction rejects stay in the loop.
+/// The byte classes the lanes branch on are decided over all inputs by
+/// the policy audit's `fused-classes` obligation; this loop samples the
+/// engines that use them.
 int runFusedDifferential(const CliOptions &O, svc::Metrics &M) {
   const core::PolicyTables &T = core::policyTables();
   const core::FusedPolicy &FP = core::fusedPolicyTables();
@@ -512,8 +519,10 @@ int runFusedDifferential(const CliOptions &O, svc::Metrics &M) {
                                : "verdict ACCEPT (reference REJECT)",
                         Img);
 
+      // Indexed by the seed, not the loop index, so the one-seed repro
+      // line rebuilds the same shard count.
       uint32_t NumShards =
-          ShardRotation[(S + Iter) % std::size(ShardRotation)];
+          ShardRotation[(WorkloadSeed - 1 + Iter) % std::size(ShardRotation)];
       core::partitionShards(Size, NumShards, Shards);
       for (core::ShardScan &Sh : Shards)
         core::scanShard(FP, Img.data(), Size, Sh);

@@ -6,7 +6,7 @@
 /// paper's point — and the registry's — is that the checker core is
 /// ISA-generic: the same three-grammar shape (NoControlFlow /
 /// DirectJump / MaskedJump), the same derivative → DFA → Hopcroft
-/// pipeline, the same 13 audit obligations, the same RSTB blob format
+/// pipeline, the same 14 audit obligations, the same RSTB blob format
 /// (now ISA-tagged), just a different grammar underneath.
 ///
 /// The MIPS instantiation follows the NaCl MIPS ABI conventions:

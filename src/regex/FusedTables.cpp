@@ -3,11 +3,9 @@
 // Offline construction of the fused layout: classify every source state
 // (continue / accepting / rejecting, reject winning ties to match
 // dfaMatch's check order), assign class-ordered 8-bit ids, rewrite the
-// rows under the id map, mirror the accept/reject flags, then derive
-// the constant-payload skip chains by following row-constant
-// pure-continue states to their first "interesting" successor.
-// Everything here is table preprocessing — the verify-time code is the
-// header-inline fusedMatch.
+// rows under the id map, mirror the accept/reject flags, then turn
+// accepting rows into restart rows. Everything here is table
+// preprocessing — the verify-time code is the header-inline fusedMatch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,8 +73,6 @@ FusedTables re::fuseDfas(const std::vector<const Dfa *> &Dfas) {
   // Pass 3: rewrite rows and mirror flags under the id map.
   F.Trans.assign(size_t(Total) * 256, 0);
   F.Flags.assign(Total, 0);
-  F.SkipLen.assign(Total, 0);
-  F.SkipNext.assign(Total, 0);
   Base = 0;
   for (const Dfa *D : Dfas) {
     uint32_t N = uint32_t(D->numStates());
@@ -117,42 +113,6 @@ FusedTables re::fuseDfas(const std::vector<const Dfa *> &Dfas) {
       std::copy(StartRow, StartRow + 256, &F.Trans[size_t(Fid) * 256]);
     }
     Base += N;
-  }
-
-  // Constant-payload skip chains, over pure-continue states only (the
-  // matcher resolves accept/reject before ever consulting a chain).
-  // RowConst[s] = the unique successor when every byte agrees, else the
-  // sentinel Total.
-  std::vector<uint32_t> RowConst(Total, Total);
-  for (uint32_t S = 0; S < F.AcceptBase; ++S) {
-    const uint8_t *Row = &F.Trans[size_t(S) * 256];
-    uint8_t T0 = Row[0];
-    bool Const = true;
-    for (uint32_t B = 1; B < 256; ++B)
-      if (Row[B] != T0) {
-        Const = false;
-        break;
-      }
-    if (Const)
-      RowConst[S] = T0;
-  }
-  for (uint32_t S = 0; S < F.AcceptBase; ++S) {
-    if (RowConst[S] == Total)
-      continue;
-    // From a row-constant state, extend the chain while the landing
-    // state is itself row-constant AND pure-continue (an accept/reject
-    // landing must be observed by the matcher, so the chain stops just
-    // before stepping past it). The 255 cap both fits the uint8_t
-    // fields and bounds row-constant cycles (a liveness-trimmed DFA has
-    // none, but the fused form must not rely on that).
-    uint32_t K = 1;
-    uint32_t Land = RowConst[S];
-    while (K < 255 && Land < F.AcceptBase && RowConst[Land] != Total) {
-      Land = RowConst[Land];
-      ++K;
-    }
-    F.SkipLen[S] = uint8_t(K);
-    F.SkipNext[S] = uint8_t(Land);
   }
 
   return F;

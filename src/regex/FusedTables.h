@@ -16,8 +16,8 @@
 /// over the source table (tests/fused_tables_test.cpp and the fuzz
 /// harness's fused-vs-legacy differential).
 ///
-/// Four precomputed acceleration structures ride on the fused form,
-/// all exact (never heuristic):
+/// Two precomputed acceleration structures ride on the fused form,
+/// both exact (never heuristic), plus the byte classes callers derive:
 ///
 ///  * **class-ordered ids**: fused states are numbered continue states
 ///    first, then accepting states, then rejecting states, so the
@@ -35,16 +35,9 @@
 ///    state's row IS the restart, with no select or branch on the
 ///    loop-carried path. Reject rows keep their source mirror;
 ///
-///  * per-state **constant-payload skip chains** (`SkipLen`/`SkipNext`):
-///    a state whose 256 row entries all name the same successor is
-///    "row-constant" — it consumes one byte without looking at it
-///    (immediate/displacement payload bytes compile to exactly such
-///    states). A maximal chain of row-constant pure-continue states is
-///    collapsed offline, so matching an instruction with an imm32
-///    payload steps the chain once instead of walking four rows;
-///
-///  * callers (core/Verifier.h) derive per-byte chain classes from the
-///    start-state rows — see `core::FusedPolicy`'s safe-byte class.
+///  * callers (core/Policy.h) derive per-byte chain classes from the
+///    start-state rows — see `core::FusedPolicy`'s exceptional-byte
+///    class.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,14 +77,6 @@ struct FusedTables {
   /// mirror, kept for derivations and validation; the hot path uses the
   /// id ranges instead.
   std::vector<uint8_t> Flags;
-  /// Constant-payload skip chains: SkipLen[s] > 0 means states
-  /// s, C(s), ..., C^(SkipLen-1)(s) are all row-constant, the
-  /// intermediates (after s) are pure-continue, and consuming
-  /// SkipLen[s] bytes from s lands on SkipNext[s] regardless of the
-  /// bytes' values. 0 means "step normally". Only continue states
-  /// carry chains (the matcher never consults them elsewhere).
-  std::vector<uint8_t> SkipLen;
-  std::vector<uint8_t> SkipNext;
   /// Fused start id of each source DFA, in fusion order.
   std::vector<uint8_t> Starts;
   /// Index of sub-DFA k's block within Ids: fused id of local state s
@@ -130,15 +115,10 @@ FusedTables fuseDfas(const std::vector<const Dfa *> &Dfas);
 /// a reject state or exhaustion leaves *Pos unchanged and returns
 /// false. Bit-identical decisions to core::dfaMatch on the source
 /// table. The serial dependence per byte is the single Trans load —
-/// accept/reject resolve by comparing the id against the class bases —
-/// and constant-payload chains are skipped in one step when the
-/// remaining input covers them (an exact transform: the skipped states
-/// are pure-continue and byte-independent).
+/// accept/reject resolve by comparing the id against the class bases.
 inline bool fusedMatch(const FusedTables &F, unsigned Sub,
                        const uint8_t *Code, uint32_t *Pos, uint32_t Size) {
   const uint8_t *Tr = F.Trans.data();
-  const uint8_t *SkL = F.SkipLen.data();
-  const uint8_t *SkN = F.SkipNext.data();
   const uint32_t AB = F.AcceptBase, RB = F.RejectBase;
   uint32_t S = F.Starts[Sub];
   uint32_t P = *Pos;
@@ -152,17 +132,6 @@ inline bool fusedMatch(const FusedTables &F, unsigned Sub,
         return false;
       *Pos = P + Off;
       return true;
-    }
-    uint32_t K = SkL[S];
-    if (K && uint64_t(P) + Off + K <= Size) {
-      Off += K;
-      S = SkN[S];
-      if (S >= AB) {
-        if (S >= RB)
-          return false;
-        *Pos = P + Off;
-        return true;
-      }
     }
   }
   return false;

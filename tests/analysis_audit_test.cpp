@@ -48,7 +48,7 @@ TEST(PolicyAudit, ShippedTablesPass) {
         "decodes(DirectJump)", "decodes(MaskedJump)", "health(MaskedJump)",
         "health(NoControlFlow)", "health(DirectJump)",
         "minimize-preserves(MaskedJump)", "minimize-preserves(NoControlFlow)",
-        "minimize-preserves(DirectJump)", "state-bound"}) {
+        "minimize-preserves(DirectJump)", "state-bound", "fused-classes"}) {
     const AuditFinding *F = R.find(Check);
     ASSERT_NE(F, nullptr) << Check;
     EXPECT_TRUE(F->Pass) << Check << ": " << F->Detail;
@@ -168,6 +168,42 @@ TEST(PolicyAudit, DeadStateCorruptionFailsHealth) {
   const AuditFinding *H2 = R.find("health(NoControlFlow)");
   ASSERT_NE(H2, nullptr);
   EXPECT_TRUE(H2->Pass);
+}
+
+TEST(PolicyAudit, LyingRejectFlagFailsFusedClasses) {
+  // Flag one live state as rejecting in a copy of the shipped tables.
+  // buildFusedPolicy reads the flag and lets the sweep take a start the
+  // full chain could still match, so the decided obligation must fail
+  // with the bytes that reach that state as witness:
+  //  * the MaskedJump state behind the mask's first byte (83,
+  //    `and r/m32, imm8`): MaskedJump is called dead on 83;
+  //  * the DirectJump state behind 0F 80 (`jo rel32`): the 0F escape
+  //    calls 80 a second byte that kills the jump.
+  struct Case {
+    re::Dfa core::PolicyTables::*Table;
+    std::vector<uint8_t> Path;
+  };
+  for (const Case &C : {Case{&core::PolicyTables::MaskedJump, {0x83}},
+                        Case{&core::PolicyTables::DirectJump, {0x0F, 0x80}}}) {
+    core::PolicyTables T = core::policyTables();
+    re::Dfa &D = T.*C.Table;
+    uint32_t S = D.Start;
+    for (uint8_t B : C.Path)
+      S = D.step(uint16_t(S), B);
+    ASSERT_FALSE(D.Rejects[S]);
+    D.Rejects[S] = 1;
+
+    AuditReport R = auditPolicy(T, decoders());
+    EXPECT_FALSE(R.Pass);
+    const AuditFinding *F = R.find("fused-classes");
+    ASSERT_NE(F, nullptr);
+    EXPECT_FALSE(F->Pass);
+    EXPECT_EQ(F->Witness, C.Path) << F->Detail;
+    // Untouched tables' obligations still pass.
+    const AuditFinding *H = R.find("health(NoControlFlow)");
+    ASSERT_NE(H, nullptr);
+    EXPECT_TRUE(H->Pass);
+  }
 }
 
 TEST(PolicyAudit, RenderMentionsEveryFinding) {

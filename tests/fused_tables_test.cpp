@@ -6,10 +6,10 @@
 // decision — per-prefix matches, chain steps, whole-image checks, and
 // the shard scan/merge — must equal the legacy engine's, on accepted
 // and rejected images alike. The tests here pin the fused layout, prove
-// the safe-byte and skip-chain derivations against the source tables,
-// and run the lockstep on structured corpora including the boundary
-// shapes run skipping is most likely to get wrong (shard seams, image
-// tails, truncated instructions).
+// the safe-byte and exceptional-byte derivations against the source
+// tables, and run the lockstep on structured corpora including the
+// boundary shapes the NoControlFlow sweep is most likely to get wrong
+// (shard seams, image tails, truncated instructions).
 //
 //===----------------------------------------------------------------------===//
 
@@ -216,10 +216,8 @@ TEST(FusedTables, SafeByteImpliesOneByteNcfStepForAnySuffix) {
 TEST(FusedTables, ChainClassCountsAreSane) {
   const FusedPolicy &P = fused();
   // The single-byte NoControlFlow instructions (push/pop/inc/dec, nop,
-  // ...) put well over RunSkipMinSafeBytes byte values in the safe
-  // class, so run skipping must be engaged on the shipped tables.
-  EXPECT_GE(P.SafeCount, RunSkipMinSafeBytes);
-  EXPECT_TRUE(P.RunSkip);
+  // ...) put several byte values in the safe class.
+  EXPECT_GE(P.SafeCount, 8u);
   EXPECT_LT(P.SafeCount, 256u);
   // Only the masked-jump mask prefixes keep the MaskedJump DFA alive on
   // the first byte — a handful of byte values, never most of them.
@@ -264,75 +262,8 @@ TEST(FusedTables, ChainClassCountsAreSane) {
 }
 
 //===----------------------------------------------------------------------===//
-// Skip chains: exact collapses of row-constant payload states.
+// Boundary shapes: safe sleds, image tails, tiny images.
 //===----------------------------------------------------------------------===//
-
-TEST(FusedTables, SkipChainsAreExact) {
-  const re::FusedTables &F = fused().F;
-  uint32_t Multi = 0;
-  for (uint32_t S = 0; S < F.NumStates; ++S) {
-    uint32_t K = F.SkipLen[S];
-    if (!K)
-      continue;
-    if (K >= 2)
-      ++Multi;
-    // Walk the chain byte-independently: every intermediate must be
-    // row-constant and pure-continue, and the landing state must match
-    // SkipNext whatever bytes are consumed.
-    for (uint8_t Probe : {uint8_t(0x00), uint8_t(0x5A), uint8_t(0xFF)}) {
-      uint32_t Cur = S;
-      for (uint32_t I = 0; I < K; ++I) {
-        if (I) {
-          // Intermediates (states after the first hop, before landing)
-          // are pure-continue.
-          ASSERT_EQ(F.Flags[Cur], 0u) << "state " << S << " hop " << I;
-        }
-        uint8_t Next = F.step(uint8_t(Cur), Probe);
-        for (uint32_t B = 0; B < 256; ++B)
-          ASSERT_EQ(F.step(uint8_t(Cur), uint8_t(B)), Next)
-              << "state " << S << " hop " << I;
-        Cur = Next;
-      }
-      ASSERT_EQ(Cur, F.SkipNext[S]) << "state " << S;
-    }
-  }
-  // imm32/disp32 payloads compile to runs of row-constant states: the
-  // shipped tables must contain at least one multi-byte chain or the
-  // optimization is dead code.
-  EXPECT_GE(Multi, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Run-skip boundary shapes.
-//===----------------------------------------------------------------------===//
-
-TEST(FusedTables, SafeRunEndRespectsLimitAndClass) {
-  const FusedPolicy &P = fused();
-  uint8_t Safe = 0, Unsafe = 0;
-  for (uint32_t B = 1; B < 256 && !Safe; ++B)
-    if (P.SafeByte[B])
-      Safe = uint8_t(B);
-  for (uint32_t B = 1; B < 256 && !Unsafe; ++B)
-    if (!P.SafeByte[B])
-      Unsafe = uint8_t(B);
-  ASSERT_NE(Safe, 0u);
-  ASSERT_NE(Unsafe, 0u);
-
-  for (uint32_t Len = 0; Len <= 40; ++Len) {
-    // A safe sled of Len bytes followed by an unsafe byte.
-    std::vector<uint8_t> Img(Len + 1, Safe);
-    Img[Len] = Unsafe;
-    EXPECT_EQ(safeRunEnd(P, Img.data(), 0, uint32_t(Img.size())), Len);
-    // Clamped below the unsafe byte: stops exactly at the limit.
-    for (uint32_t Lim : {Len / 2, Len}) {
-      EXPECT_EQ(safeRunEnd(P, Img.data(), 0, Lim), Lim);
-    }
-    // Starting mid-run.
-    if (Len >= 2)
-      EXPECT_EQ(safeRunEnd(P, Img.data(), Len / 2, uint32_t(Img.size())),
-                Len);
-  }
-}
 
 TEST(FusedTables, BoundaryImagesLockstep) {
   const PolicyTables &T = tables();
@@ -344,8 +275,8 @@ TEST(FusedTables, BoundaryImagesLockstep) {
       Safe = uint8_t(B);
   ASSERT_NE(Safe, 0u);
 
-  // Safe sleds of every length 0..40 (crossing the 8-wide and 32-byte
-  // bundle boundaries), alone and with jump/masked tails.
+  // Safe sleds of every length 0..40 (crossing the 32-byte bundle
+  // boundary), alone and with jump/masked tails.
   const std::vector<std::vector<uint8_t>> Tails = {
       {},
       {0xEB, 0xFE},                   // jmp rel8 back into the sled
@@ -363,8 +294,8 @@ TEST(FusedTables, BoundaryImagesLockstep) {
     }
   }
 
-  // Tiny images 0..9 bytes of every repeated byte value: the wide-load
-  // guards must never matter at these sizes.
+  // Tiny images 0..9 bytes of every repeated byte value: the sweep's
+  // second-byte peek and the image-end exits at these sizes.
   for (uint32_t Len = 0; Len <= 9; ++Len)
     for (uint32_t B = 0; B < 256; B += 17) {
       std::vector<uint8_t> Img(Len, uint8_t(B));
@@ -459,8 +390,6 @@ TEST(FusedTables, SingletonIsStableAndMatchesFreshBuild) {
   FusedPolicy Fresh = buildFusedPolicy(policyTables());
   EXPECT_EQ(A.F.Trans, Fresh.F.Trans);
   EXPECT_EQ(A.F.Flags, Fresh.F.Flags);
-  EXPECT_EQ(A.F.SkipLen, Fresh.F.SkipLen);
-  EXPECT_EQ(A.F.SkipNext, Fresh.F.SkipNext);
   EXPECT_EQ(A.SafeCount, Fresh.SafeCount);
   EXPECT_EQ(A.MjAliveCount, Fresh.MjAliveCount);
 }

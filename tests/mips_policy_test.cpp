@@ -3,7 +3,7 @@
 // The second registry tenant end to end: the MIPS NaCl policy tables
 // (mips/MipsPolicy.h) — masked-jump discipline through $t9/$t6, direct
 // jump target extraction, 16-byte bundle alignment — plus the tagged
-// RSTB round-trip and the full 13-obligation meta-audit over the MIPS
+// RSTB round-trip and the full 14-obligation meta-audit over the MIPS
 // tables (the same analysis::auditPolicy the x86 CI gate runs).
 //
 //===----------------------------------------------------------------------===//
@@ -272,11 +272,9 @@ TEST(MipsPolicy, RegistryEntryMatchesPinnedShape) {
   EXPECT_EQ(E.Tables->MaskedJump.numStates(), MipsMaskedJumpStates);
   ASSERT_NE(E.Fused, nullptr);
   // The derived lane classes (DESIGN.md section 16.4): no chain-safe
-  // byte, so run skipping stays off and the sweep plus the full chain
-  // step carry every MIPS image; the mask's first byte is the one
-  // MaskedJump-alive byte, and no start resolves on its second byte.
+  // byte; the mask's first byte is the one MaskedJump-alive byte, and
+  // no start resolves on its second byte.
   EXPECT_EQ(E.Fused->SafeCount, 0u);
-  EXPECT_FALSE(E.Fused->RunSkip);
   EXPECT_EQ(E.Fused->MjAliveCount, 1u);
   EXPECT_EQ(E.Fused->ExcCount, 17u);
   EXPECT_EQ(E.Fused->Exc2Count, 0u);
@@ -332,13 +330,13 @@ TEST(MipsPolicy, RawAndMinimizedDecideIdentically) {
 }
 
 //===----------------------------------------------------------------------===//
-// The 13-obligation meta-audit over the MIPS tables.
+// The 14-obligation meta-audit over the MIPS tables.
 //===----------------------------------------------------------------------===//
 
 TEST(MipsPolicy, MetaAuditDischargesAllThirteenObligations) {
   analysis::AuditReport R = analysis::auditMipsPolicy();
   EXPECT_TRUE(R.Pass) << R.render();
-  EXPECT_EQ(R.Findings.size(), 13u);
+  EXPECT_EQ(R.Findings.size(), 14u);
   for (const analysis::AuditFinding &F : R.Findings)
     EXPECT_TRUE(F.Pass) << F.Check << ": " << F.Detail;
   EXPECT_LE(R.LargestMinimized, analysis::PaperMaxPolicyStates);
@@ -346,6 +344,7 @@ TEST(MipsPolicy, MetaAuditDischargesAllThirteenObligations) {
   EXPECT_NE(R.find("disjoint(MaskedJump,NoControlFlow)"), nullptr);
   EXPECT_NE(R.find("decodes(MaskedJump)"), nullptr);
   EXPECT_NE(R.find("state-bound"), nullptr);
+  EXPECT_NE(R.find("fused-classes"), nullptr);
 }
 
 } // namespace
