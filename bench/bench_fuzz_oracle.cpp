@@ -1,11 +1,11 @@
 //===- bench/bench_fuzz_oracle.cpp -----------------------------*- C++ -*-===//
 //
 // Throughput of the differential fuzz harness: images/second through the
-// full cross-verifier oracle (all four verdict paths, three shard
-// geometries), through its cheaper subsets, and through the structured
-// mutator alone. This is what sizes the CI smoke budget — the smoke gate
-// pushes >=10k images, so oracle throughput directly bounds how much
-// disagreement-hunting a fixed CI window buys.
+// full cross-verifier oracle (all four verdict paths), through the
+// structured mutator alone, and through one minimizer run. This is what
+// sizes the CI smoke budget — the smoke gate pushes >=10k images, so
+// oracle throughput directly bounds how much disagreement-hunting a
+// fixed CI window buys.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,19 +39,6 @@ void benchOracleFull(benchmark::State &State) {
   State.SetBytesProcessed(int64_t(State.iterations()) * Code.size());
 }
 
-void benchOracleNoParallel(benchmark::State &State) {
-  fuzz::OracleOptions O;
-  O.RunParallel = false;
-  fuzz::DifferentialOracle Oracle(O);
-  std::vector<uint8_t> Code = image(uint32_t(State.range(0)));
-  Rng R(1);
-  for (auto _ : State) {
-    Code = fuzz::mutateStructured(Code, R);
-    benchmark::DoNotOptimize(Oracle.run(Code).agree());
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-
 void benchMutatorOnly(benchmark::State &State) {
   std::vector<uint8_t> Code = image(uint32_t(State.range(0)));
   Rng R(1);
@@ -79,8 +66,7 @@ void benchMinimizer(benchmark::State &State) {
 
 } // namespace
 
-BENCHMARK(benchOracleFull)->Arg(384)->Arg(2048)->UseRealTime();
-BENCHMARK(benchOracleNoParallel)->Arg(384)->Arg(2048);
+BENCHMARK(benchOracleFull)->Arg(384)->Arg(2048);
 BENCHMARK(benchMutatorOnly)->Arg(384)->Arg(2048);
 BENCHMARK(benchMinimizer)->Arg(384);
 

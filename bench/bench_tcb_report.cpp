@@ -14,6 +14,11 @@
 //     DFA tables;
 //   * the reference walk: the paper's literal Figures 5/6, which the
 //     production core is certified against;
+//   * the incremental path: what the service's patch frames and the
+//     incremental verifier trust on top of the production core — the
+//     shard scan and seam-aware merge, the splice, and the chunk key
+//     that lets a cached scan stand in for a fresh one. It has no
+//     budget; it is printed so the trusted surface stays visible;
 //   * the generator-side declarative policy: core/Policy.cpp;
 //   * the hand-written comparison checker: core/BaselineChecker.cpp.
 //
@@ -50,6 +55,7 @@ bool isCodeLine(const std::string &Line) {
 Counts countFile(const std::string &Path) {
   Counts C;
   std::ifstream In(Path);
+  C.Found = bool(In);
   std::string Line;
   bool InBlock = false;
   while (std::getline(In, Line)) {
@@ -76,7 +82,8 @@ Counts countFile(const std::string &Path) {
 }
 
 /// One counted definition: the function or struct whose first line
-/// (after any `template <...>` line) contains Marker.
+/// (after any `template <...>` line) contains Marker, or the whole file
+/// when Marker is null.
 struct Piece {
   const char *File;
   const char *Marker;
@@ -123,13 +130,15 @@ Counts countRow(const std::string &Root, const char *Name,
   Counts Row;
   std::printf("\n%s:\n", Name);
   for (const Piece &P : Pieces) {
-    Counts C = countPiece(Root, P);
+    Counts C = P.Marker ? countPiece(Root, P)
+                        : countFile(Root + "/" + P.File);
+    const char *What = P.Marker ? P.Marker : "(whole file)";
     if (!C.Found) {
-      std::printf("  %-22s %-44s MISSING\n", P.File, P.Marker);
+      std::printf("  %-28s %-46s MISSING\n", P.File, What);
       Row.Found = false;
       continue;
     }
-    std::printf("  %-22s %-44s %4d %4d\n", P.File, P.Marker, C.Total, C.Code);
+    std::printf("  %-28s %-46s %4d %4d\n", P.File, What, C.Total, C.Code);
     Row.Total += C.Total;
     Row.Code += C.Code;
   }
@@ -172,6 +181,27 @@ const std::vector<Piece> ReferenceWalk = {
     MipsExtract,
 };
 
+/// The incremental path, beyond the production core it shares (the
+/// shard scan is driveChain with the shard sink). Shard.cpp is counted
+/// whole: its two merge overloads share a first line, and the file is
+/// only the sink, the scan, the partition and the merge. The chunk key
+/// is in the row because a cache hit replaces a fresh scan, so a key
+/// that missed a byte the scan reads would hand back a stale scan; the
+/// window it hashes is sized by the tables' read bound. SHA-256 itself
+/// is not counted: it is a primitive pinned by known-answer tests.
+const std::vector<Piece> IncrementalPath = {
+    {"core/Shard.h", "struct ShardScan {"},
+    {"core/Shard.cpp", nullptr},
+    {"core/Verifier.cpp", "StepKind core::verifyStep(const FusedPolicy"},
+    {"incr/IncrementalVerifier.cpp", "IncrResult IncrementalVerifier::reverify("},
+    {"incr/IncrementalVerifier.cpp", "bool IncrementalVerifier::spliceReverify("},
+    {"incr/IncrementalVerifier.cpp",
+     "void IncrementalVerifier::rebuildMergeState("},
+    {"incr/ChunkCache.cpp", "ChunkKey incr::chunkKey("},
+    {"incr/ChunkCache.cpp", "uint32_t incr::maxScanReadBytes("},
+    {"incr/ChunkCache.cpp", "uint32_t maxReadOf("},
+};
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -184,6 +214,8 @@ int main(int argc, char **argv) {
   std::printf("counted definitions (file, first-line marker, lines, code):");
   Counts Core = countRow(Root, "production trusted core", ProductionCore);
   Counts Ref = countRow(Root, "reference walk (Figures 5/6)", ReferenceWalk);
+  Counts Incr = countRow(Root, "incremental path (patch frames, jit_patch)",
+                         IncrementalPath);
   Counts Policy = countFile(Root + "/core/Policy.cpp");
   Counts Baseline = countFile(Root + "/core/BaselineChecker.cpp");
 
@@ -196,6 +228,8 @@ int main(int argc, char **argv) {
               Core.Total, Core.Code);
   std::printf("%-44s %8d %8d\n", "reference walk (both ISAs)", Ref.Total,
               Ref.Code);
+  std::printf("%-44s %8d %8d\n", "incremental path (beyond the core)",
+              Incr.Total, Incr.Code);
   std::printf("%-44s %8d %8d\n", "declarative policy (generator side)",
               Policy.Total, Policy.Code);
   std::printf("%-44s %8d %8d\n", "baseline checker (ncval-style)",
@@ -204,7 +238,7 @@ int main(int argc, char **argv) {
               States * 514.0 / 1024.0);
   std::printf("paper shape (TCB ~6x smaller than the hand checker): %s\n",
               Baseline.Code > 4 * Core.Code ? "met" : "NOT met");
-  if (!Core.Found || !Ref.Found) {
+  if (!Core.Found || !Ref.Found || !Incr.Found) {
     std::fprintf(stderr, "FAIL: a counted definition's marker no longer "
                          "matches its source\n");
     return 1;

@@ -7,9 +7,10 @@
 // disassembly of the checker's parse.
 //
 // With --jobs N the verification routes through the service layer: a
-// VerifierPool of N workers batch-verifies multiple images, and a
-// single image is chunk-parallelized by ParallelVerifier. --stats dumps
-// the service metrics (counters and histograms) after the run.
+// VerifierPool of N workers batch-verifies multiple images (a single
+// image is always one sequential RockSalt::check), and --serve sizes its
+// pool from it. --stats dumps the service metrics (counters and
+// histograms) after the run.
 //
 // --explain shrinks a rejected image to the minimal byte sequence that
 // is still rejected for the same reason (the fuzz harness's
@@ -108,7 +109,6 @@
 #include "nacl/Mutator.h"
 #include "nacl/WorkloadGen.h"
 #include "svc/EventLoop.h"
-#include "svc/ParallelVerifier.h"
 #include "svc/Protocol.h"
 #include "svc/Service.h"
 #include "svc/VerifierPool.h"
@@ -118,6 +118,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -494,19 +495,17 @@ void explainRejection(const std::vector<uint8_t> &Code,
   printAcceptedFamilies(3);
 }
 
-/// One image through RockSalt (sequential or chunk-parallel) plus the
-/// ncval-style baseline, with timings.
+/// One image through RockSalt plus the ncval-style baseline, with
+/// timings.
 int validate(const std::vector<uint8_t> &Code, const CliOptions &Opts,
-             svc::ParallelVerifier *PV, svc::Metrics *M) {
+             svc::Metrics *M) {
   auto T0 = std::chrono::steady_clock::now();
-  core::CheckResult R;
-  if (PV) {
-    R = PV->check(Code);
-  } else {
-    core::RockSalt V;
-    R = V.check(Code);
-  }
+  core::RockSalt V;
+  core::CheckResult R = V.check(Code);
   auto T1 = std::chrono::steady_clock::now();
+  svc::recordOutcome(
+      *M, R, Code.size(),
+      uint64_t(std::chrono::nanoseconds(T1 - T0).count()));
   bool Baseline = core::baselineVerify(Code);
   auto T2 = std::chrono::steady_clock::now();
 
@@ -515,7 +514,7 @@ int validate(const std::vector<uint8_t> &Code, const CliOptions &Opts,
 
   std::printf("image: %zu bytes (%zu bundles)\n", Code.size(),
               Code.size() / core::BundleSize);
-  std::printf("  rocksalt%s:  %s  (%.3f ms)%s%s\n", PV ? " (parallel)" : "",
+  std::printf("  rocksalt:  %s  (%.3f ms)%s%s\n",
               R.Ok ? "ACCEPT" : "REJECT", RockMs,
               R.Ok ? "" : "  reason: ",
               R.Ok ? "" : core::rejectReasonName(R.Reason));
@@ -650,7 +649,7 @@ int runPatchesLocal(const std::string &Path, std::vector<uint8_t> Code,
 }
 
 int selftest(const CliOptions &Opts, svc::VerifierPool *Pool,
-             svc::ParallelVerifier *PV, svc::Metrics *M) {
+             svc::Metrics *M) {
   nacl::WorkloadOptions WOpts;
   WOpts.TargetBytes = 512;
   WOpts.Seed = 42;
@@ -658,14 +657,14 @@ int selftest(const CliOptions &Opts, svc::VerifierPool *Pool,
   std::printf("== generated compliant workload ==\n");
   CliOptions Inner = Opts;
   Inner.Disasm = true;
-  int Rc = validate(Code, Inner, PV, M);
+  int Rc = validate(Code, Inner, M);
 
   Rng R(7);
   auto Bad = nacl::applyAttack(Code, nacl::Attack::InsertRet, R);
   if (Bad) {
     std::printf("\n== after inserting a RET ==\n");
     Inner.Disasm = false;
-    validate(*Bad, Inner, PV, M);
+    validate(*Bad, Inner, M);
   }
 
   if (Pool) {
@@ -1330,8 +1329,12 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--jobs") == 0) {
       if (I + 1 >= argc)
         return usage(argv[0]);
-      long N = std::strtol(argv[++I], nullptr, 10);
-      if (N < 1)
+      // Whole string, decimal, and within unsigned: "2x" and 2^32 + 1
+      // are usage errors, not 2 and 1 workers.
+      const char *S = argv[++I];
+      char *End = nullptr;
+      unsigned long long N = std::strtoull(S, &End, 10);
+      if (*S < '0' || *S > '9' || *End || N < 1 || N > UINT_MAX)
         return usage(argv[0]);
       Opts.Jobs = unsigned(N);
     } else if (std::strcmp(argv[I], "--serve") == 0) {
@@ -1451,16 +1454,13 @@ int main(int argc, char **argv) {
 
   svc::Metrics Metrics;
   std::unique_ptr<svc::VerifierPool> Pool;
-  std::unique_ptr<svc::ParallelVerifier> PV;
-  if (Opts.Jobs) {
+  if (Opts.Jobs)
     Pool = std::make_unique<svc::VerifierPool>(
         svc::VerifierPool::Options{Opts.Jobs}, &Metrics);
-    PV = std::make_unique<svc::ParallelVerifier>(*Pool);
-  }
 
   int Rc;
   if (Opts.Selftest) {
-    Rc = selftest(Opts, Pool.get(), PV.get(), &Metrics);
+    Rc = selftest(Opts, Pool.get(), &Metrics);
   } else if (Pool && Opts.Files.size() > 1 && !Opts.Disasm && !Opts.Lint) {
     // Whole-batch mode: all images in flight at once.
     std::vector<std::vector<uint8_t>> Images;
@@ -1494,7 +1494,7 @@ int main(int argc, char **argv) {
       }
       std::vector<uint8_t> Code((std::istreambuf_iterator<char>(In)),
                                 std::istreambuf_iterator<char>());
-      Rc |= validate(Code, Opts, PV.get(), &Metrics);
+      Rc |= validate(Code, Opts, &Metrics);
     }
   }
 

@@ -20,7 +20,7 @@
 ///    SCC-condensed call edges, and interprocedural reachability.
 ///
 /// The same passes run over nodes recovered three ways — the sequential
-/// chain re-scan, the chunk-parallel `core::Shard` bitmaps, and the
+/// chain re-scan, the shard scan/merge bitmaps of `core::Shard`, and the
 /// incremental verifier's spliced match chain — and the three paths are
 /// held bit-identical by the `fuzz_differential --lint` gate. The
 /// incremental path (`IncrementalLinter`) re-lints a patched image in
@@ -237,7 +237,7 @@ RecoveredCfg recoverCfg(const core::PolicyTables &T, const uint8_t *Code,
                         uint32_t Size);
 
 /// Shard front end: node boundaries from the Valid bitmap of a
-/// chunk-parallel scan/merge, pair detection from PairJmp, kinds and
+/// shard scan/merge, pair detection from PairJmp, kinds and
 /// branch targets re-derived from the bytes alone — an independent
 /// re-derivation the differential lint gate compares against the
 /// sequential front end.
@@ -251,8 +251,8 @@ RecoveredCfg cfgFromCheck(const uint8_t *Code, uint32_t Size,
 /// \p M->AnalysisDataflowNanos when \p M is non-null.
 CfgLintResult lintCfg(RecoveredCfg &&Cfg, uint32_t Size, svc::Metrics *M);
 
-/// Whole-image lint derived from the chunk-parallel scan/merge of
-/// core/Shard (\p NumShards fresh shard scans, seam-aware join), then
+/// Whole-image lint derived from the shard scan/merge of core/Shard
+/// (\p NumShards fresh shard scans, seam-aware join), then
 /// the shared back half. Bit-identical to `lintImage` over the tables
 /// \p P was fused from, on every input.
 CfgLintResult lintImageFromShards(const core::FusedPolicy &P,

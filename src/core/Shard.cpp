@@ -1,4 +1,4 @@
-//===- core/Shard.cpp - Chunk-parallel scan and seam-aware merge ----------===//
+//===- core/Shard.cpp - Shard scan and seam-aware merge -------------------===//
 //
 // The per-shard scan is the verify driver (core/ChainDriver.h) started
 // at a bundle boundary with the shard sink; the merge replays the

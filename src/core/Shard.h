@@ -1,14 +1,17 @@
-//===- core/Shard.h - Chunk-parallel scan and seam-aware merge -*- C++ -*-===//
+//===- core/Shard.h - Shard scan and seam-aware merge ----------*- C++ -*-===//
 ///
 /// \file
-/// The aligned-chunk policy makes the Figure-5 scan embarrassingly
-/// parallel: in any *accepted* image every 32-byte boundary is an
-/// instruction start (that is exactly the bundle check of Figure 5), so
-/// a scan started fresh at a bundle-aligned shard base follows the same
-/// match chain the sequential verifier would. Each shard is scanned
-/// independently (`scanShard`, the verify driver of core/ChainDriver.h
-/// with the shard sink) and the per-shard results are joined
-/// sequentially (`mergeShardScans`).
+/// The incremental verifier's split and join. The aligned-chunk policy
+/// makes the Figure-5 scan splittable: in any *accepted* image every
+/// 32-byte boundary is an instruction start (that is exactly the bundle
+/// check of Figure 5), so a scan started fresh at a bundle-aligned shard
+/// base follows the same match chain the sequential verifier would.
+/// Each shard is scanned independently (`scanShard`, the verify driver
+/// of core/ChainDriver.h with the shard sink) and the per-shard results
+/// are joined sequentially (`mergeShardScans`). incr/ scans each chunk
+/// of an image as a shard, caches the scans, and joins them here; the
+/// shard-derived lint and `fuzz_differential --fused` split whole
+/// images with `partitionShards`.
 ///
 /// Rejected images are where the care goes: the sequential chain may
 /// cross a shard seam mid-instruction, in which case the downstream
@@ -20,7 +23,7 @@
 /// result is therefore *bit-identical* to `RockSalt::check` — same
 /// verdict, same Valid/Target/PairJmp bitmaps, same reject reason — on
 /// every input, which is what keeps the paper's soundness argument
-/// intact: the parallel service is an implementation of the same
+/// intact: the incremental verifier is an implementation of the same
 /// checker function, not a new checker.
 ///
 //===----------------------------------------------------------------------===//

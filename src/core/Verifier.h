@@ -18,7 +18,7 @@
 ///    array (core::FusedPolicy) walked in two lanes: the branchless
 ///    NoControlFlow sweep and the full chain step
 ///    (`verifyStep`/`verifyImage` over FusedPolicy, and `RockSalt`).
-///    The parallel and incremental verifiers drive it too.
+///    The shard scan and the incremental verifier drive it too.
 ///
 /// The two are certified bit-identical (verdict, reject reason, and the
 /// Valid/Target/PairJmp bitmaps) by tests/fused_tables_test.cpp and the

@@ -3,8 +3,8 @@
 /// \file
 /// `fuzz_differential`: generate compliant workloads, mutate them with
 /// the grammar-directed mutator, and push every image through the
-/// differential oracle (DFA checker, baseline decoder, derivative slow
-/// path, and the parallel verifier under all shard geometries). Any
+/// differential oracle (fused DFA checker, legacy three-table walk,
+/// baseline decoder, and derivative slow path). Any
 /// disagreement is minimized to a reproducer and written into the
 /// regression corpus. The run is fully determined by --base-seed: a
 /// failure report names the seed and iteration, and the printed repro
@@ -55,7 +55,6 @@ struct CliOptions {
   std::string CorpusDir;   ///< where reproducers land ("" = don't write)
   bool Stats = false;      ///< dump the Prometheus metrics text at exit
   bool RunSlow = true;
-  bool RunParallel = true;
   bool Patches = false;    ///< incremental-vs-full patch differential mode
   bool LintDiff = false;   ///< three-engine lint differential mode
   bool FusedDiff = false;  ///< fused-vs-reference lockstep mode
@@ -68,7 +67,7 @@ void usage(const char *Argv0) {
       stderr,
       "usage: %s [--smoke] [--seeds N] [--iters N] [--size N]\n"
       "          [--base-seed N] [--minimize] [--corpus DIR] [--stats]\n"
-      "          [--no-slow] [--no-parallel]\n"
+      "          [--no-slow]\n"
       "          [--patches | --lint | --fused] [--images N] [--steps N]\n"
       "  --smoke   preset: --seeds 25 --iters 400 --size 384 --minimize\n"
       "            (10025 images through every verdict path)\n"
@@ -120,8 +119,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.Stats = true;
     } else if (A == "--no-slow") {
       O.RunSlow = false;
-    } else if (A == "--no-parallel") {
-      O.RunParallel = false;
     } else if (A == "--patches") {
       O.Patches = true;
     } else if (A == "--lint") {
@@ -584,7 +581,6 @@ int main(int Argc, char **Argv) {
   svc::Metrics M;
   fuzz::OracleOptions OO;
   OO.RunSlow = O.RunSlow;
-  OO.RunParallel = O.RunParallel;
   OO.M = &M;
   fuzz::DifferentialOracle Oracle(OO);
 
@@ -617,11 +613,10 @@ int main(int Argc, char **Argv) {
       ++Disagreements;
       reportDisagreement(Rep, WorkloadSeed, Iter);
       std::printf("  repro: %s --seeds 1 --base-seed %llu --iters %llu "
-                  "--size %u%s%s\n",
+                  "--size %u%s\n",
                   Argv[0], static_cast<unsigned long long>(WorkloadSeed),
                   static_cast<unsigned long long>(Iter), O.Size,
-                  O.RunSlow ? "" : " --no-slow",
-                  O.RunParallel ? "" : " --no-parallel");
+                  O.RunSlow ? "" : " --no-slow");
 
       std::vector<uint8_t> Repro = Cur;
       if (O.Minimize) {

@@ -67,33 +67,12 @@ DifferentialOracle::DifferentialOracle(OracleOptions O) : Opts(O) {
     OwnMetrics = std::make_unique<svc::Metrics>();
     M = OwnMetrics.get();
   }
-  if (Opts.RunParallel) {
-    svc::ParallelVerifierOptions Geo[NumGeometries];
-    // Fine-grained: every bundle its own shard — maximal seam count.
-    Geo[0].MinShardBytes = core::BundleSize;
-    Geo[0].MaxShards = 64;
-    // Odd uneven shard count: seams land at irregular offsets.
-    Geo[1].MinShardBytes = 2 * core::BundleSize;
-    Geo[1].MaxShards = 7;
-    // Coarse shards: the production-shaped geometry.
-    Geo[2].MinShardBytes = 256;
-
-    static const unsigned ThreadCounts[NumPools] = {2, 4};
-    for (unsigned P = 0; P < NumPools; ++P) {
-      Pools.push_back(std::make_unique<svc::VerifierPool>(
-          svc::VerifierPool::Options{ThreadCounts[P]}, M));
-      for (unsigned G = 0; G < NumGeometries; ++G)
-        PVs.push_back(
-            std::make_unique<svc::ParallelVerifier>(*Pools.back(), Geo[G]));
-    }
-  }
 }
 
 OracleReport DifferentialOracle::run(const uint8_t *Code, uint32_t Size) {
   OracleReport Rep;
   Rep.Reference = Ref.check(Code, Size);
   M->OracleRuns.add();
-  ++ImageCounter;
 
   auto Note = [&](const char *PathFmt, std::string Detail) {
     if (!Detail.empty())
@@ -102,8 +81,9 @@ OracleReport DifferentialOracle::run(const uint8_t *Code, uint32_t Size) {
 
   // The legacy per-byte engine (the paper's C, verbatim) against the
   // fused reference — the full instrumented result, not just the
-  // verdict. This is the certification that the fused layout + run
-  // skipping changed no decision.
+  // verdict. This is the certification that the fused layout and its
+  // lanes (the NoControlFlow sweep, the fused chain step) changed no
+  // decision.
   Note("legacy", compareFull(Rep.Reference,
                              core::checkLegacy(core::policyTables(), Code,
                                                Size)));
@@ -125,22 +105,6 @@ OracleReport DifferentialOracle::run(const uint8_t *Code, uint32_t Size) {
     bool SlowOk = Slow.verify(Code, Size);
     if (SlowOk != Rep.Reference.Ok)
       Note("slow", boolMismatch(Rep.Reference.Ok, SlowOk));
-  }
-
-  if (Opts.RunParallel) {
-    // Every geometry runs on every image; the pool (thread count) the
-    // geometry uses rotates with the image counter.
-    for (unsigned G = 0; G < NumGeometries; ++G) {
-      unsigned P = unsigned((ImageCounter + G) % NumPools);
-      core::CheckResult Par = PVs[P * NumGeometries + G]->check(Code, Size);
-      std::string Detail = compareFull(Rep.Reference, Par);
-      if (!Detail.empty()) {
-        char Path[64];
-        std::snprintf(Path, sizeof(Path), "parallel[geo=%u,threads=%u]", G,
-                      Pools[P]->threadCount());
-        Rep.Disagreements.push_back({Path, std::move(Detail)});
-      }
-    }
   }
 
   if (!Rep.agree())

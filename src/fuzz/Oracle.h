@@ -2,15 +2,13 @@
 ///
 /// \file
 /// The paper's soundness story rests on one function — the Figure-5
-/// checker — but this repository has five independent implementations of
+/// checker — but this repository has four independent implementations of
 /// its decision: the fused-table checker (`core::RockSalt::check`, the
 /// production fast path), the legacy three-table per-byte checker
 /// (`core::checkLegacy`, the paper's C verbatim), the ncval-style hand
-/// decoder (`core::baselineVerify`), the derivative re-derivation path
-/// (`core::slowVerify` / `core::SlowContext`), and the chunk-parallel
-/// service (`svc::ParallelVerifier`). The oracle runs one image through
-/// all of them — the parallel path under several shard geometries and
-/// thread counts — and reports every way they diverge:
+/// decoder (`core::baselineVerify`), and the derivative re-derivation
+/// path (`core::slowVerify` / `core::SlowContext`). The oracle runs one
+/// image through all of them and reports every way they diverge:
 /// verdict, reject reason, or the Valid/Target/PairJmp bitmaps (for the
 /// paths that produce them). Related ISA-model efforts (Goel et al.'s
 /// x86isa books) get their confidence from exactly this kind of
@@ -28,8 +26,6 @@
 #include "core/SlowVerifier.h"
 #include "core/Verifier.h"
 #include "svc/Metrics.h"
-#include "svc/ParallelVerifier.h"
-#include "svc/VerifierPool.h"
 
 #include <memory>
 #include <string>
@@ -42,8 +38,6 @@ struct OracleOptions {
   /// Include the derivative-based slow path (decision-equivalent to
   /// core::slowVerify, amortized through a shared factory).
   bool RunSlow = true;
-  /// Include the chunk-parallel path (all geometries × thread counts).
-  bool RunParallel = true;
   /// Where OracleRuns/OracleDisagreements are counted; the oracle owns a
   /// private Metrics when null.
   svc::Metrics *M = nullptr;
@@ -51,7 +45,7 @@ struct OracleOptions {
 
 /// One diverging verdict path.
 struct Disagreement {
-  std::string Path;   ///< "baseline", "slow", "parallel[geo=1,threads=4]"
+  std::string Path;   ///< "legacy", "baseline", "slow", ...
   std::string Detail; ///< first observed mismatch, human-readable
 };
 
@@ -63,12 +57,6 @@ struct OracleReport {
 
 class DifferentialOracle {
 public:
-  /// Shard geometries the parallel path is exercised under (fine-grained
-  /// per-bundle shards, an odd uneven count, and coarse shards).
-  static constexpr unsigned NumGeometries = 3;
-  /// Worker-pool thread counts the geometries rotate across.
-  static constexpr unsigned NumPools = 2;
-
   explicit DifferentialOracle(OracleOptions O = {});
 
   /// Runs every verdict path on the image and reports all divergences.
@@ -90,12 +78,6 @@ private:
   svc::Metrics *M;
   core::RockSalt Ref;
   core::SlowContext Slow;
-  std::vector<std::unique_ptr<svc::VerifierPool>> Pools;
-  /// PVs[Pool * NumGeometries + Geo]; each geometry runs per image, on a
-  /// pool rotated by image counter so both thread counts see every
-  /// geometry over a sweep.
-  std::vector<std::unique_ptr<svc::ParallelVerifier>> PVs;
-  uint64_t ImageCounter = 0;
 };
 
 } // namespace fuzz

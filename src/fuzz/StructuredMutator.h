@@ -15,8 +15,9 @@
 ///    from under the old encoding;
 ///  * SeamSplice — overwrite bytes so a multi-byte instruction (or a
 ///    masked-jump pair) straddles a 32-byte bundle boundary, the exact
-///    inputs where the chunk-parallel verifier's seam logic must match
-///    the sequential chain;
+///    inputs where the shard merge's seam logic (core/Shard.h, under
+///    the incremental verifier and --fused) must match the sequential
+///    chain;
 ///  * MaskedPairCorrupt — find a nacljmp pair and break exactly one of
 ///    its invariants (register agreement, the mask immediate, the AND
 ///    digit, jmp/call flavor, register- vs memory-form).

@@ -40,8 +40,7 @@
 /// Patches never change an image's size: the sandbox loader maps code
 /// regions once; tier-ups overwrite in place (pad with nops to grow).
 ///
-/// Not thread-safe: one instance per session/thread, like
-/// svc::ParallelVerifier.
+/// Not thread-safe: one instance per session/thread.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -168,7 +168,6 @@ std::string Metrics::exposition() const {
                                      QueueDepth.get() < 0 ? 0
                                                           : QueueDepth.get()));
   dumpHistogram(Out, "verify_nanos", VerifyNanos);
-  dumpHistogram(Out, "shard_imbalance_permille", ShardImbalancePermille);
   dumpHistogram(Out, "batch_images", BatchImages);
   dumpHistogram(Out, "svc_request_nanos", SvcRequestNanos);
   dumpHistogram(Out, "svc_patch_nanos", SvcPatchNanos);
@@ -224,7 +223,6 @@ void Metrics::reset() {
   SvcPatchRequests.reset();
   SvcImageCloseRequests.reset();
   VerifyNanos.reset();
-  ShardImbalancePermille.reset();
   BatchImages.reset();
   SvcRequestNanos.reset();
   SvcPatchNanos.reset();

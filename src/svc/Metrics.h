@@ -8,7 +8,7 @@
 ///
 /// `Histogram` is a power-of-two-bucketed log histogram (bucket i holds
 /// values whose bit width is i), which is enough resolution for latency
-/// and imbalance distributions at zero contention cost.
+/// and size distributions at zero contention cost.
 ///
 /// `Metrics::dump()` renders a plain-text exposition (one `name value`
 /// line per scalar, `name_bucket{le=...}` lines per histogram) consumed
@@ -99,9 +99,9 @@ struct Metrics {
   Counter RejectUnaligned;  ///< reject: bundle boundary not instr start
   Counter BytesVerified;
 
-  // Chunk-parallel internals.
-  Counter ShardsScanned;
-  Counter SeamRescans;      ///< verifySteps replayed at shard seams
+  // Incremental re-verify internals (incr/IncrementalVerifier).
+  Counter ShardsScanned;    ///< chunks re-scanned (cache misses)
+  Counter SeamRescans;      ///< verifySteps replayed at chunk seams
 
   // Pool internals.
   Counter TasksRun;
@@ -160,7 +160,6 @@ struct Metrics {
 
   // Distributions.
   Histogram VerifyNanos;          ///< wall time per image verification
-  Histogram ShardImbalancePermille; ///< 1000 * max shard ns / mean shard ns
   Histogram BatchImages;          ///< images per submit() call
   Histogram SvcRequestNanos;      ///< wall time per service request frame
   Histogram SvcPatchNanos;        ///< wall time per patch re-verification

@@ -153,14 +153,6 @@ void VerifierPool::workerLoop(unsigned Id) {
   }
 }
 
-void VerifierPool::post(TaskGroup &G, void (*Fn)(void *), void *Ctx) {
-  G.Pending.fetch_add(1, std::memory_order_relaxed);
-  Task T;
-  T.Work = [Fn, Ctx] { Fn(Ctx); }; // 16-byte capture: stays in SBO
-  T.Group = &G;
-  push(std::move(T));
-}
-
 void VerifierPool::run(TaskGroup &G, std::function<void()> Fn) {
   G.Pending.fetch_add(1, std::memory_order_relaxed);
   Task T;

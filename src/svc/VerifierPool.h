@@ -4,18 +4,17 @@
 /// The service's executor: a work-stealing thread pool with a
 /// batch-submit verification API. Two layers:
 ///
-///  * a generic task layer — `post` (allocation-free, function pointer +
-///    context) and `run` (std::function convenience) enqueue work into
-///    per-worker deques; idle workers pop their own deque LIFO and steal
-///    FIFO from others. `wait` on a TaskGroup *helps*: the waiter drains
-///    tasks while the group is outstanding, so nested fan-out (a pool
-///    job that itself shards an image across the pool) cannot deadlock;
+///  * a generic task layer — `run` enqueues a callable into per-worker
+///    deques; idle workers pop their own deque LIFO and steal FIFO from
+///    others. `wait` on a TaskGroup *helps*: the waiter drains tasks
+///    while the group is outstanding, so nested fan-out (a service
+///    verify or lint frame that fans its images out from a pool worker)
+///    cannot deadlock;
 ///
 ///  * a verification layer — `submit` takes a batch of images and
 ///    returns one future per image; each job runs the sequential
-///    RockSalt check and records outcome metrics. Use ParallelVerifier
-///    on top of the task layer when a *single* image should be
-///    chunk-parallel.
+///    RockSalt check and records outcome metrics. Parallelism is across
+///    images: a single image is always one sequential check.
 ///
 /// All bookkeeping is mutex-per-deque plus atomics; the pool never holds
 /// a lock while running user work.
@@ -42,7 +41,7 @@ namespace rocksalt {
 namespace svc {
 
 /// Counts an image verification outcome into \p M (shared by the pool's
-/// batch jobs, ParallelVerifier, and the CLI's sequential path).
+/// batch jobs and the service's verify frames).
 void recordOutcome(Metrics &M, const core::CheckResult &R, uint64_t Bytes,
                    uint64_t Nanos);
 
@@ -52,7 +51,7 @@ public:
     unsigned Threads = 0; ///< 0 → std::thread::hardware_concurrency()
   };
 
-  /// A join handle for a set of posted tasks.
+  /// A join handle for a set of enqueued tasks.
   class TaskGroup {
     friend class VerifierPool;
     std::atomic<uint32_t> Pending{0};
@@ -71,15 +70,11 @@ public:
   unsigned threadCount() const { return unsigned(Threads.size()); }
   Metrics &metrics() { return *Met; }
 
-  /// Enqueues Fn(Ctx) — allocation-free (the hot path for shard
-  /// fan-out). \p Ctx must outlive the task; completion is observed via
-  /// wait(G).
-  void post(TaskGroup &G, void (*Fn)(void *), void *Ctx);
-
-  /// Enqueues an arbitrary callable (may allocate for large captures).
+  /// Enqueues an arbitrary callable (may allocate for large captures);
+  /// completion is observed via wait(G).
   void run(TaskGroup &G, std::function<void()> Fn);
 
-  /// Blocks until every task posted to \p G has finished. The waiting
+  /// Blocks until every task enqueued to \p G has finished. The waiting
   /// thread executes queued tasks (any group's) while work is available;
   /// once the queues are empty it blocks on a completion condition
   /// variable (it does NOT spin) until the group's tasks, running on

@@ -11,9 +11,8 @@
 //    bug is fixed the image stays here so all four verdict paths keep
 //    agreeing on it forever.
 //
-// Either way, every entry must be verdict-agreed by every path, under
-// every shard geometry — a corpus entry failing here means a fixed bug
-// has come back.
+// Either way, every entry must be verdict-agreed by every path — a
+// corpus entry failing here means a fixed bug has come back.
 //
 //===----------------------------------------------------------------------===//
 

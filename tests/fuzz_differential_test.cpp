@@ -102,7 +102,6 @@ TEST(Oracle, CountsRunsIntoMetrics) {
   svc::Metrics M;
   OracleOptions O;
   O.M = &M;
-  O.RunParallel = false; // keep this one cheap: no pools spun up
   DifferentialOracle Local(O);
   Local.run(workload(31, 64));
   Local.run(workload(32, 64));

@@ -11,7 +11,6 @@
 #include "nacl/Mutator.h"
 #include "nacl/WorkloadGen.h"
 #include "svc/Metrics.h"
-#include "svc/ParallelVerifier.h"
 #include "svc/VerifierPool.h"
 
 #include <gtest/gtest.h>
@@ -81,27 +80,6 @@ TEST(VerifierPoolTest, NestedFanOutOnOneThreadDoesNotDeadlock) {
   });
   Pool.wait(Outer);
   EXPECT_EQ(Inner.load(), 16u);
-}
-
-TEST(VerifierPoolTest, ChunkParallelInsidePoolJob) {
-  // ParallelVerifier used from within a pool job (the service's nested
-  // shape: batch across images, shards within an image).
-  svc::Metrics M;
-  svc::VerifierPool Pool(svc::VerifierPool::Options{2}, &M);
-  nacl::WorkloadOptions WO;
-  WO.TargetBytes = 16384;
-  std::vector<uint8_t> Code = nacl::generateWorkload(WO);
-  core::RockSalt Seq;
-  bool Expect = Seq.check(Code).Ok;
-
-  std::atomic<int> Verdict{-1};
-  svc::VerifierPool::TaskGroup G;
-  Pool.run(G, [&] {
-    svc::ParallelVerifier PV(Pool);
-    Verdict.store(PV.verify(Code) ? 1 : 0);
-  });
-  Pool.wait(G);
-  EXPECT_EQ(Verdict.load(), Expect ? 1 : 0);
 }
 
 TEST(VerifierPoolTest, BatchSubmitMatchesSequentialVerdicts) {
