@@ -17,8 +17,7 @@
 //   * the incremental path: what the service's patch frames and the
 //     incremental verifier trust on top of the production core — the
 //     shard scan and seam-aware merge, the splice, and the chunk key
-//     that lets a cached scan stand in for a fresh one. It has no
-//     budget; it is printed so the trusted surface stays visible;
+//     that lets a cached scan stand in for a fresh one;
 //   * the generator-side declarative policy: core/Policy.cpp;
 //   * the hand-written comparison checker: core/BaselineChecker.cpp.
 //
@@ -26,7 +25,8 @@
 // runs to its matching closing brace; a marker that no longer matches
 // fails the report rather than silently shrinking a row. The ctest
 // `tcb_report` runs it, and it also fails when the production row
-// grows past MaxProductionCoreCode.
+// grows past MaxProductionCoreCode or the incremental row past
+// MaxIncrementalPathCode.
 //
 //===----------------------------------------------------------------------===//
 
@@ -195,12 +195,14 @@ const std::vector<Piece> IncrementalPath = {
     {"core/Verifier.cpp", "StepKind core::verifyStep(const FusedPolicy"},
     {"incr/IncrementalVerifier.cpp", "IncrResult IncrementalVerifier::reverify("},
     {"incr/IncrementalVerifier.cpp", "bool IncrementalVerifier::spliceReverify("},
-    {"incr/IncrementalVerifier.cpp",
-     "void IncrementalVerifier::rebuildMergeState("},
     {"incr/ChunkCache.cpp", "ChunkKey incr::chunkKey("},
     {"incr/ChunkCache.cpp", "uint32_t incr::maxScanReadBytes("},
     {"incr/ChunkCache.cpp", "uint32_t maxReadOf("},
 };
+
+/// The incremental row's code-line budget, held like the production
+/// row's.
+constexpr int MaxIncrementalPathCode = 327;
 
 } // namespace
 
@@ -248,6 +250,13 @@ int main(int argc, char **argv) {
                  "FAIL: the production trusted core has %d code lines, "
                  "over its budget of %d (MaxProductionCoreCode)\n",
                  Core.Code, MaxProductionCoreCode);
+    return 1;
+  }
+  if (Incr.Code > MaxIncrementalPathCode) {
+    std::fprintf(stderr,
+                 "FAIL: the incremental path has %d code lines, over its "
+                 "budget of %d (MaxIncrementalPathCode)\n",
+                 Incr.Code, MaxIncrementalPathCode);
     return 1;
   }
   return 0;

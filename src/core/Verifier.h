@@ -69,8 +69,7 @@ bool verifyImage(const PolicyTables &T, const uint8_t *Code, uint32_t Size);
 
 /// The production driver's chain step over the fused transition array.
 /// Bit-identical decisions and *Pos movement to the reference overload
-/// above. This is the step the shard merge and the incremental verifier
-/// replay seams with.
+/// above. This is the step the shard merge replays seams with.
 StepKind verifyStep(const FusedPolicy &P, const uint8_t *Code, uint32_t *Pos,
                     uint32_t Size, uint32_t *TargetOut);
 

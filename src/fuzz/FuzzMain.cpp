@@ -36,6 +36,7 @@
 #include "nacl/WorkloadGen.h"
 #include "svc/Metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,7 +75,8 @@ void usage(const char *Argv0) {
       "  --patches incremental-vs-full differential mode: open --images\n"
       "            base images, apply --steps structured patches each,\n"
       "            cross-check every incremental verdict (and its\n"
-      "            Valid/Target/PairJmp bitmaps) against a full re-check\n"
+      "            Valid/Target/PairJmp bitmaps) against a full re-check;\n"
+      "            fails when no step takes the splice\n"
       "  --lint    three-engine lint differential: sequential lintImage,\n"
       "            the shard-derived lint (rotating shard counts), and\n"
       "            the incremental linter must render byte-identical\n"
@@ -186,6 +188,20 @@ std::string comparePatchVerdicts(const core::CheckResult &Got,
   return "";
 }
 
+/// A patch that keeps an accepted image accepted: one whole bundle
+/// rewritten with nops (the last, partial bundle up to the image end).
+/// In an accepted image every bundle starts and ends on an instruction
+/// boundary, so the chain stays in sync, every byte of the bundle
+/// becomes a valid target, and only the bundle's own jumps go.
+fuzz::PatchOp nopBundle(const std::vector<uint8_t> &Code, Rng &R) {
+  const uint32_t Size = uint32_t(Code.size());
+  const uint32_t Bundles = (Size + core::BundleSize - 1) / core::BundleSize;
+  fuzz::PatchOp P;
+  P.Offset = uint32_t(R.below(Bundles)) * core::BundleSize;
+  P.Bytes.assign(std::min(core::BundleSize, Size - P.Offset), 0x90);
+  return P;
+}
+
 /// The incremental-vs-full differential: a long-lived image mutated in
 /// place, re-verified incrementally after every step and cross-checked
 /// against a full sequential check of the same bytes. Chunk geometry
@@ -195,14 +211,25 @@ std::string comparePatchVerdicts(const core::CheckResult &Got,
 /// the loop. A third of the steps, chosen by the step seed, apply a
 /// batch of 2-4 patches before one reverify, so the dirty list's
 /// deduplication and the multi-range splice are in the loop too.
+///
+/// Structured patches mostly reject, and only a step that starts from
+/// an accepted image can take the splice, so two more step shapes keep
+/// the splice in the loop: three quarters of the steps that start from
+/// a reject put back the image's last accepted bytes, and half the
+/// steps that start from an accept nop whole bundles instead of drawing
+/// structured patches. The summary counts the steps that started from
+/// an accepted image and the steps that spliced, and the mode fails
+/// when none spliced.
 int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
   const core::PolicyTables &T = core::policyTables();
   core::RockSalt Full(T);
   static const uint32_t ChunkRotation[] = {512, 32, 256, 1024};
   const uint64_t BatchStream = 0xBA7Cull;
+  const uint64_t RevertStream = 0x5EB7ull;
+  const uint64_t NopStream = 0x90B0ull;
 
   uint64_t Disagreements = 0;
-  uint64_t StepsRun = 0, BatchedSteps = 0;
+  uint64_t StepsRun = 0, BatchedSteps = 0, FromAccepted = 0, Spliced = 0;
 
   for (uint64_t I = 0; I < O.Images; ++I) {
     uint64_t Seed = O.BaseSeed + I;
@@ -225,33 +252,67 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
     incr::IncrementalVerifier Incr(T, IO, &M);
 
     incr::ImageId Id = Incr.open(Bytes);
-    std::string Diff = comparePatchVerdicts(Incr.lastCheck(Id), Full.check(Bytes));
+    core::CheckResult Ref = Full.check(Bytes);
+    std::string Diff = comparePatchVerdicts(Incr.lastCheck(Id), Ref);
     if (!Diff.empty()) {
       ++Disagreements;
       std::printf("PATCH DISAGREEMENT at image-seed=%llu step=open: %s\n",
                   static_cast<unsigned long long>(Seed), Diff.c_str());
     }
+    // The bytes of the image's last accepted state, if it had one.
+    std::vector<uint8_t> LastAccepted;
+    if (Ref.Ok)
+      LastAccepted = Bytes;
 
     std::vector<fuzz::PatchOp> Batch;
     for (uint64_t Step = 1; Step <= O.Steps; ++Step) {
       Rng StepRng(mutationSeed(Seed, Step));
-      // The batch size has its own stream: single-patch steps draw
-      // exactly the patches they always did.
+      // The batch size and the two splice-reaching shapes each have a
+      // stream of their own: a structured step draws exactly the
+      // patches it would draw without them.
       Rng BatchRng(mutationSeed(Seed, Step) ^ BatchStream);
+      Rng RevertRng(mutationSeed(Seed, Step) ^ RevertStream);
+      Rng NopRng(mutationSeed(Seed, Step) ^ NopStream);
       uint64_t Count = BatchRng.below(3) == 0 ? BatchRng.range(2, 4) : 1;
-      BatchedSteps += Count > 1;
+      const bool Revert =
+          !Ref.Ok && !LastAccepted.empty() && RevertRng.chance(3, 4);
+      const bool Nop = Ref.Ok && NopRng.flip();
+      const char *Shape = Revert ? "revert" : Nop ? "nop-bundle" : nullptr;
+      FromAccepted += Ref.Ok;
       Batch.clear();
-      for (uint64_t K = 0; K < Count; ++K) {
-        fuzz::PatchOp P = fuzz::nextStructuredPatch(Bytes, StepRng);
+      auto Apply = [&](fuzz::PatchOp P) {
         for (size_t B = 0; B < P.Bytes.size(); ++B)
           Bytes[P.Offset + B] = P.Bytes[B];
         Incr.patchBytes(Id, P.Offset, P.Bytes.data(),
                         uint32_t(P.Bytes.size()));
         Batch.push_back(std::move(P));
+      };
+      if (Revert) {
+        // One patch over the span where the bytes left the accepted
+        // state (a reject's bytes differ from every accepted state's).
+        uint32_t Lo = 0, Hi = uint32_t(Bytes.size());
+        while (Lo < Hi && Bytes[Lo] == LastAccepted[Lo])
+          ++Lo;
+        while (Hi > Lo && Bytes[Hi - 1] == LastAccepted[Hi - 1])
+          --Hi;
+        fuzz::PatchOp P;
+        P.Offset = Lo;
+        P.Bytes.assign(LastAccepted.begin() + Lo, LastAccepted.begin() + Hi);
+        if (Lo < Hi)
+          Apply(std::move(P));
+      } else {
+        // Each patch is drawn against the bytes the previous one left.
+        for (uint64_t K = 0; K < Count; ++K)
+          Apply(Nop ? nopBundle(Bytes, NopRng)
+                    : fuzz::nextStructuredPatch(Bytes, StepRng));
+        BatchedSteps += Count > 1;
       }
-      Incr.reverify(Id);
+      Spliced += Incr.reverify(Id).Spliced;
       ++StepsRun;
-      Diff = comparePatchVerdicts(Incr.lastCheck(Id), Full.check(Bytes));
+      Ref = Full.check(Bytes);
+      if (Ref.Ok)
+        LastAccepted = Bytes;
+      Diff = comparePatchVerdicts(Incr.lastCheck(Id), Ref);
       if (!Diff.empty()) {
         ++Disagreements;
         std::printf("PATCH DISAGREEMENT at image-seed=%llu step=%llu "
@@ -261,7 +322,8 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
                     Diff.c_str());
         for (const fuzz::PatchOp &P : Batch)
           std::printf("  patch: %s at %u, %zu bytes\n",
-                      fuzz::patchKindName(P.Kind), P.Offset, P.Bytes.size());
+                      Shape ? Shape : fuzz::patchKindName(P.Kind), P.Offset,
+                      P.Bytes.size());
         std::printf("  repro: --patches --images 1 --base-seed %llu "
                     "--steps %llu --size %u\n",
                     static_cast<unsigned long long>(Seed),
@@ -274,17 +336,27 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
   }
 
   std::printf("fuzz_differential --patches: %llu images, %llu patch steps "
-              "(%llu batched), %llu disagreements (chunk hits %llu, "
-              "misses %llu, evictions %llu)\n",
+              "(%llu batched, %llu from an accepted image, %llu spliced), "
+              "%llu disagreements (chunk hits %llu, misses %llu, "
+              "evictions %llu)\n",
               static_cast<unsigned long long>(O.Images),
               static_cast<unsigned long long>(StepsRun),
               static_cast<unsigned long long>(BatchedSteps),
+              static_cast<unsigned long long>(FromAccepted),
+              static_cast<unsigned long long>(Spliced),
               static_cast<unsigned long long>(Disagreements),
               static_cast<unsigned long long>(M.IncrChunkHits.get()),
               static_cast<unsigned long long>(M.IncrChunkMisses.get()),
               static_cast<unsigned long long>(M.IncrChunkEvictions.get()));
   if (O.Stats)
     std::fputs(M.dump().c_str(), stdout);
+  // Structured patches alone mostly leave the image rejected, where
+  // every step is a full merge: a run that never spliced checked the
+  // splice on nothing.
+  if (StepsRun && !Spliced) {
+    std::printf("PATCH FAILURE: no step took the splice\n");
+    return 1;
+  }
   return Disagreements ? 1 : 0;
 }
 

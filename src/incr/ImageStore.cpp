@@ -18,7 +18,6 @@ ImageId ImageStore::open(std::vector<uint8_t> Bytes, uint32_t ChunkBytes) {
   E.ChunkBytes = ChunkBytes;
   uint32_t NumChunks = (E.size() + ChunkBytes - 1) / ChunkBytes;
   E.Chunks.assign(NumChunks, nullptr);
-  E.DirtyCards.assign(NumChunks, 1);
   E.DirtyList.resize(NumChunks);
   std::iota(E.DirtyList.begin(), E.DirtyList.end(), 0u);
   ImageId Id = NextId++;

@@ -3,11 +3,10 @@
 /// \file
 /// The registry of long-lived images the incremental verifier tracks:
 /// id → current bytes + chunk geometry + the per-chunk scan results that
-/// certify the last verdict + dirty cards for chunks whose scan window a
-/// patch has touched since the last re-verification (the shape of a GC
-/// card table: writes mark cards, the collector — here the re-verifier —
-/// clears them), with the marked cards also appended to a dirty list so
-/// the re-verifier visits only those.
+/// certify the last verdict + a dirty list of the chunks whose scan
+/// window a patch has touched since the last re-verification (the shape
+/// of a GC remembered set: writes append to it, the collector — here the
+/// re-verifier — visits and clears it).
 ///
 /// The store is pure bookkeeping; `incr::IncrementalVerifier` owns the
 /// scanning and merging policy on top of it.
@@ -32,22 +31,19 @@ namespace incr {
 using ImageId = uint32_t;
 
 /// The maintained merge of the last *accepted* verdict, kept so a patch
-/// can splice its re-merged window into the previous result instead of
-/// re-merging O(image) every time. `EntryPos[c]` is the first chain
-/// position >= c*ChunkBytes (the chain was in sync at c iff it equals
-/// the chunk base); `SegTargets[c]` lists the direct-jump targets
-/// contributed by chain steps starting inside chunk c, and `TargetCnt`
-/// refcounts contributors per targeted position (only positions some
-/// jump targets have an entry, so it costs O(jumps), not O(image)) so
-/// removing one segment's jumps clears exactly the bits no other jump
-/// still justifies; `R.Target[p]` is set exactly when p has one. Only
-/// valid while `Ok` — any reject drops back to the full merge until the
-/// image is accepted again.
+/// can splice its dirty chunks' new scans into the previous result
+/// instead of re-merging O(image) every time. Chunk bases are bundle
+/// boundaries, so an accepted merge is the concatenation of the chunk
+/// scans: `R`'s marks inside a chunk are exactly that chunk's scan.
+/// `TargetCnt` refcounts the jumps targeting each position (only
+/// positions some jump targets have an entry, so it costs O(jumps), not
+/// O(image)), so retiring one chunk's jumps clears exactly the bits no
+/// other jump still justifies; `R.Target[p]` is set exactly when p has
+/// one. Only valid while `Ok` — any reject drops back to the full merge
+/// until the image is accepted again.
 struct MergeState {
   bool Ok = false;
   core::CheckResult R;
-  std::vector<uint32_t> EntryPos;
-  std::vector<std::vector<uint32_t>> SegTargets;
   std::unordered_map<uint32_t, uint32_t> TargetCnt;
 };
 
@@ -58,14 +54,10 @@ struct ImageEntry {
   /// Per-chunk scans backing the last verdict; Chunks[i] covers
   /// [i*ChunkBytes, min((i+1)*ChunkBytes, size)). Null until first scan.
   std::vector<std::shared_ptr<const core::ShardScan>> Chunks;
-  /// Dirty cards: chunk i's scan window was touched by a patch since its
-  /// scan in Chunks[i] was (re)computed.
-  std::vector<uint8_t> DirtyCards;
-  /// The dirty chunks, each listed once, in the order their cards were
-  /// set: re-verification walks this list (sorted) instead of sweeping
-  /// the cards, so it costs O(patch) however large the image. The cards
-  /// stay for the O(1) "is this chunk dirty" test and to keep the list
-  /// unique.
+  /// The chunks whose scan window a patch touched since their scans in
+  /// Chunks were (re)computed, in patch order and possibly repeated:
+  /// re-verification sorts and deduplicates it and visits only those,
+  /// so it costs O(patch) however large the image.
   std::vector<uint32_t> DirtyList;
   /// Spliceable merge of the last accepted verdict (see MergeState).
   MergeState Merge;

@@ -1,17 +1,17 @@
 //===- incr/IncrementalVerifier.cpp - O(patch) re-verification ------------===//
 //
-// The re-verification loop: the dirty list (deduplicated by the dirty
-// cards) says which chunk scans a patch invalidated, the ChunkCache
-// resolves each dirty chunk by content (a reverted patch is a pure
-// hit), and on the accepted steady state the re-merged window is
-// spliced into the maintained merge — replay the chain from the dirty
-// chunk's recorded entry position until it lands back in sync on an
-// untouched chunk base, and only that window's marks change.
-// Everything else (first verdict, rejects, finalize violations) falls
-// back to the full seam-aware merge of core/Shard, which keeps every
-// verdict bit-identical to the sequential checker. Finding the dirty
-// chunks, the scan and the merge are then all O(patch), which is the
-// bench gate's >= 5x.
+// The re-verification loop: the dirty list says which chunk scans a
+// patch invalidated, the ChunkCache resolves each dirty chunk by
+// content (a reverted patch is a pure hit), and on the accepted steady
+// state the new scans are spliced into the maintained merge: chunk
+// bases are bundle boundaries, so an accepted image's chain is the
+// concatenation of its chunk scans, and swapping a dirty chunk's old
+// scan for its new one changes only that chunk's marks. Everything
+// else (first verdict, rejects, finalize violations) falls back to the
+// full seam-aware merge of core/Shard, which keeps every verdict
+// bit-identical to the sequential checker. Finding the dirty chunks,
+// the scan and the splice are then all O(patch), which is the bench
+// gate's >= 5x.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +28,8 @@ IncrementalVerifier::IncrementalVerifier(IncrementalOptions O, svc::Metrics *M)
 
 IncrementalVerifier::IncrementalVerifier(const core::PolicyTables &T,
                                          IncrementalOptions O, svc::Metrics *M)
-    : Tables(T), Fused(core::buildFusedPolicy(T)), MaxRead(maxScanReadBytes(T)),
-      Opts(O), Met(M), Cache(O.Cache, M) {
+    : Fused(core::buildFusedPolicy(T)), MaxRead(maxScanReadBytes(T)), Opts(O),
+      Met(M), Cache(O.Cache, M) {
   if (Opts.ChunkBytes == 0 || Opts.ChunkBytes % core::BundleSize != 0)
     throw std::invalid_argument(
         "incremental chunk granularity must be a nonzero multiple of the "
@@ -80,10 +80,7 @@ void IncrementalVerifier::patchBytes(ImageId Id, uint32_t Offset,
       FirstC = uint32_t(CPlus1 - 1);
   }
   for (uint32_t C = FirstC; C <= LastC; ++C)
-    if (!E.DirtyCards[C]) {
-      E.DirtyCards[C] = 1;
-      E.DirtyList.push_back(C);
-    }
+    E.DirtyList.push_back(C);
 }
 
 IncrResult IncrementalVerifier::reverify(ImageId Id) {
@@ -93,9 +90,11 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
   const uint8_t *Code = E.Bytes.data();
   const uint32_t Size = E.size();
   const uint32_t CB = E.ChunkBytes;
-  // The splice walks dirty chunks in chain order and reads their cards,
-  // so the list is sorted here and the cards are cleared only at the end.
+  // Batched patches may list a chunk more than once; the splice walks
+  // the dirty chunks in chain order, each once.
   std::sort(E.DirtyList.begin(), E.DirtyList.end());
+  E.DirtyList.erase(std::unique(E.DirtyList.begin(), E.DirtyList.end()),
+                    E.DirtyList.end());
   for (uint32_t C : E.DirtyList) {
     uint32_t Begin = C * CB;
     uint32_t End = Begin + CB < Size ? Begin + CB : Size;
@@ -110,34 +109,33 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
       Scan = Cache.insert(K, std::move(Fresh));
       ++Res.ChunksRescanned;
     }
+    OldScans.push_back(std::move(E.Chunks[C]));
     E.Chunks[C] = std::move(Scan);
   }
 
-  if (!E.Merge.Ok || !spliceReverify(E, Res)) {
-    // Full path: first verdict, rejects, and fast-path bailouts. The
+  MergeState &M = E.Merge;
+  if (!M.Ok || !spliceReverify(E, Res)) {
+    // Full path: first verdict, rejects, and splice bail-outs. The
     // seam-aware join is the certified-bit-identical reference.
-    Res.SeamRescans = 0; // drop any partial splice's count
-    Res.Spliced = false;
-    Res.Windows.clear(); // and any windows a bailed-out splice appended
+    Res.Windows.clear(); // drop any windows a bailed-out splice appended
     MergeScratch.clear();
     MergeScratch.reserve(E.numChunks());
     for (const auto &S : E.Chunks)
       MergeScratch.push_back(S.get());
-    core::CheckResult Full = core::mergeShardScans(
-        Fused, Code, Size, MergeScratch.data(), MergeScratch.size(),
-        &Res.SeamRescans);
-    Res.Ok = Full.Ok;
-    Res.Reason = Full.Reason;
-    if (Full.Ok) {
-      rebuildMergeState(E, std::move(Full));
-    } else {
-      E.Merge.Ok = false;
-      E.Merge.R = std::move(Full); // lastCheck still serves rejects
-    }
+    M.R = core::mergeShardScans(Fused, Code, Size, MergeScratch.data(),
+                                MergeScratch.size(), &Res.SeamRescans);
+    M.Ok = Res.Ok = M.R.Ok;
+    Res.Reason = M.R.Reason;
+    // An accepted merge is the concatenation of the chunk scans (see
+    // spliceReverify), so its targets are exactly theirs.
+    M.TargetCnt.clear();
+    if (M.Ok)
+      for (const auto &S : E.Chunks)
+        for (uint32_t T : S->TargetPos)
+          ++M.TargetCnt[T];
   }
-  for (uint32_t C : E.DirtyList)
-    E.DirtyCards[C] = 0;
   E.DirtyList.clear();
+  OldScans.clear();
 
   if (Met) {
     Met->ShardsScanned.add(Res.ChunksRescanned);
@@ -148,193 +146,76 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
 
 bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
   MergeState &M = E.Merge;
-  const uint8_t *Code = E.Bytes.data();
-  const uint32_t Size = E.size();
-  const uint32_t CB = E.ChunkBytes;
-  const uint32_t N = E.numChunks();
+  const std::vector<uint32_t> &Dirty = E.DirtyList;
 
-  // A patch never reaches back before its dirty range: chunk c's scan —
-  // and every chain step starting inside c — reads only c's window, and
-  // the dirty marking already includes every chunk whose window touches
-  // the patch. So the chain up to the first dirty chunk's recorded entry
-  // position is unchanged, and the replay below starts there.
-  uint32_t NextUncovered = 0;
-  for (uint32_t D : E.DirtyList) {
-    if (D < NextUncovered)
-      continue; // consumed by the previous segment's replay
+  // Chunk bases are bundle boundaries, so in the accepted image M
+  // certifies every chunk scan ended exactly on its chunk's end, and
+  // the untouched ones still do (their read windows are unchanged). If
+  // every new scan does too, the chain is again the concatenation of
+  // the scans, by induction from position 0. A failed scan stops at the
+  // failing start, below its end; one that ran past its end left a
+  // bundle boundary that is not an instruction start. Both are rejects
+  // whose reason and bitmaps the full merge pins.
+  for (uint32_t C : Dirty)
+    if (E.Chunks[C]->StopPos != E.Chunks[C]->End)
+      return false;
 
-    const uint32_t Pos0 = M.EntryPos[D];
-    uint32_t Pos = Pos0;
-    uint32_t I = D;
-    SegChunks.clear();
-    SegValid.clear();
-    SegPair.clear();
-    SegTgt.clear();
-    uint32_t CEnd = N, WEnd = Size;
+  // Does any direct branch land strictly inside (B, End)?
+  auto Interior = [&M](uint32_t B, uint32_t End) {
+    auto It = M.R.Target.begin();
+    return std::find(It + B + 1, It + End, 1) != It + End;
+  };
+  // One window per run of adjacent dirty chunks, in chain order.
+  for (size_t I = 0; I < Dirty.size();) {
+    size_t J = I + 1;
+    while (J < Dirty.size() && Dirty[J] == Dirty[J - 1] + 1)
+      ++J;
+    const uint32_t B = E.Chunks[Dirty[I]]->Begin;
+    const uint32_t End = E.Chunks[Dirty[J - 1]]->End;
+    const bool InteriorBefore = Interior(B, End);
 
-    while (Pos < Size) {
-      // Bases the chain overran mid-instruction: their fresh scans are
-      // desynchronized and discarded, exactly as in the full merge.
-      while (I < N && uint64_t(I) * CB < Pos)
-        M.EntryPos[I++] = Pos;
-      if (I < N && uint64_t(I) * CB == Pos) {
-        // Back on a chunk base. If the previous chain also entered this
-        // chunk in sync and its scan is untouched, everything downstream
-        // is byte-for-byte the previous merge: the window ends here.
-        if (M.EntryPos[I] == Pos && !E.DirtyCards[I]) {
-          CEnd = I;
-          WEnd = Pos;
-          break;
-        }
-        M.EntryPos[I] = Pos;
-        const core::ShardScan &S = *E.Chunks[I];
-        if (S.Failed)
-          return false; // parse reject: full merge owns truncation
-        SegChunks.push_back(&S);
-        for (uint32_t T : S.TargetPos)
-          SegTgt.emplace_back(I, T);
-        Pos = S.StopPos;
-        ++I;
-      } else {
-        // Seam re-check, attributed to the chunk the step starts in.
-        uint32_t StepChunk = Pos / CB;
-        ++Res.SeamRescans;
-        SegValid.push_back(Pos);
-        uint32_t Dest = 0;
-        switch (core::verifyStep(Fused, Code, &Pos, Size, &Dest)) {
-        case core::StepKind::MaskedJump:
-          SegPair.push_back(Pos - core::MaskedJumpHalfLen);
-          break;
-        case core::StepKind::NoControlFlow:
-          break;
-        case core::StepKind::DirectJump:
-          SegTgt.emplace_back(StepChunk, Dest);
-          break;
-        case core::StepKind::Fail:
-          return false;
-        }
-      }
-    }
-
-    // Window descriptor for downstream incremental consumers (the
-    // linter): does any direct branch currently land strictly inside
-    // the window? R.Target still reflects the pre-splice chain here.
-    bool InteriorBefore = false;
-    for (uint32_t P = Pos0 + 1; P < WEnd; ++P)
-      if (M.R.Target[P]) {
-        InteriorBefore = true;
-        break;
-      }
-
-    // Splice [Pos0, WEnd): retire the covered chunks' old target
-    // contributions, clear the window's positional marks, apply the new.
-    for (uint32_t C = D; C < CEnd; ++C) {
-      for (uint32_t T : M.SegTargets[C]) {
+    // Swap the old scans' marks for the new ones: retire the old
+    // targets (refcounted, so a target another jump still justifies
+    // stays), clear the window's starts and pair jumps, apply the new.
+    for (size_t K = I; K < J; ++K)
+      for (uint32_t T : OldScans[K]->TargetPos) {
         auto It = M.TargetCnt.find(T);
         if (--It->second == 0) {
           M.TargetCnt.erase(It);
           M.R.Target[T] = 0;
         }
       }
-      M.SegTargets[C].clear();
-    }
-    if (Pos0 < WEnd) {
-      std::fill(M.R.Valid.begin() + Pos0, M.R.Valid.begin() + WEnd, 0);
-      std::fill(M.R.PairJmp.begin() + Pos0, M.R.PairJmp.begin() + WEnd, 0);
-    }
-    for (const core::ShardScan *S : SegChunks) {
-      S->forEachStart([&M](uint32_t P) { M.R.Valid[P] = 1; });
-      for (uint32_t P : S->PairJmpPos)
+    std::fill(M.R.Valid.begin() + B, M.R.Valid.begin() + End, 0);
+    std::fill(M.R.PairJmp.begin() + B, M.R.PairJmp.begin() + End, 0);
+    for (size_t K = I; K < J; ++K) {
+      const core::ShardScan &S = *E.Chunks[Dirty[K]];
+      S.forEachStart([&M](uint32_t P) { M.R.Valid[P] = 1; });
+      for (uint32_t P : S.PairJmpPos)
         M.R.PairJmp[P] = 1;
-    }
-    for (uint32_t P : SegValid)
-      M.R.Valid[P] = 1;
-    for (uint32_t P : SegPair)
-      M.R.PairJmp[P] = 1;
-    for (const auto &CT : SegTgt) {
-      M.SegTargets[CT.first].push_back(CT.second);
-      if (M.TargetCnt[CT.second]++ == 0)
-        M.R.Target[CT.second] = 1;
+      for (uint32_t T : S.TargetPos)
+        if (M.TargetCnt[T]++ == 0)
+          M.R.Target[T] = 1;
     }
 
-    // Incremental finalize: only the window's Valid bits and the new
-    // targets can introduce a Figure-5 final-pass violation. Precedence
-    // and truncation on a reject belong to the full pass — bail out.
-    for (uint32_t P = Pos0; P < WEnd; ++P)
+    // Incremental finalize: outside the window only targets were
+    // retired, which relaxes the final pass, so the window's starts and
+    // the new targets decide it. Precedence and truncation on a reject
+    // belong to the full pass — bail out.
+    for (uint32_t P = B; P < End; ++P)
       if ((M.R.Target[P] || !(P & (core::BundleSize - 1))) && !M.R.Valid[P])
         return false;
-    for (const auto &CT : SegTgt)
-      if (!M.R.Valid[CT.second])
-        return false;
-
-    // The post-splice interior-target scan sees the applied chain.
-    bool InteriorAfter = false;
-    for (uint32_t P = Pos0 + 1; P < WEnd; ++P)
-      if (M.R.Target[P]) {
-        InteriorAfter = true;
-        break;
-      }
-    if (Pos0 < WEnd)
-      Res.Windows.push_back({Pos0, WEnd, InteriorBefore, InteriorAfter});
-
-    NextUncovered = CEnd;
+    for (size_t K = I; K < J; ++K)
+      for (uint32_t T : E.Chunks[Dirty[K]]->TargetPos)
+        if (!M.R.Valid[T])
+          return false;
+    Res.Windows.push_back({B, End, InteriorBefore, Interior(B, End)});
+    I = J;
   }
 
   Res.Ok = true;
   Res.Reason = core::RejectReason::None;
   Res.Spliced = true;
   return true;
-}
-
-void IncrementalVerifier::rebuildMergeState(ImageEntry &E,
-                                            core::CheckResult &&R) {
-  MergeState &M = E.Merge;
-  const uint8_t *Code = E.Bytes.data();
-  const uint32_t Size = E.size();
-  const uint32_t CB = E.ChunkBytes;
-  const uint32_t N = E.numChunks();
-
-  M.Ok = false;
-  M.R = std::move(R);
-  M.EntryPos.assign(N, 0);
-  M.SegTargets.assign(N, {});
-  M.TargetCnt.clear();
-
-  // Replay the accepted merge once to record where the chain entered
-  // each chunk and which chunk each direct jump belongs to. An accepted
-  // image has no failing step, so this walk always reaches the end.
-  uint32_t Pos = 0;
-  uint32_t I = 0;
-  while (Pos < Size) {
-    while (I < N && uint64_t(I) * CB < Pos)
-      M.EntryPos[I++] = Pos;
-    if (I < N && uint64_t(I) * CB == Pos) {
-      M.EntryPos[I] = Pos;
-      const core::ShardScan &S = *E.Chunks[I];
-      for (uint32_t T : S.TargetPos) {
-        M.SegTargets[I].push_back(T);
-        ++M.TargetCnt[T];
-      }
-      Pos = S.StopPos;
-      ++I;
-    } else {
-      uint32_t StepChunk = Pos / CB;
-      uint32_t Dest = 0;
-      switch (core::verifyStep(Fused, Code, &Pos, Size, &Dest)) {
-      case core::StepKind::DirectJump:
-        M.SegTargets[StepChunk].push_back(Dest);
-        ++M.TargetCnt[Dest];
-        break;
-      case core::StepKind::Fail:
-        return; // unreachable on an accepted image; stay invalid
-      default:
-        break;
-      }
-    }
-  }
-  while (I < N)
-    M.EntryPos[I++] = Pos;
-  M.Ok = true;
 }
 
 IncrResult IncrementalVerifier::patch(ImageId Id, uint32_t Offset,

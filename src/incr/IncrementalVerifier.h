@@ -11,28 +11,28 @@
 ///   open(bytes)              — register, scan every chunk (cold chunks
 ///                              may still hit the cache from identical
 ///                              chunks of other images), merge, verdict;
-///   patchBytes(id, off, b[]) — overwrite bytes in place and mark the
-///                              dirty cards of every chunk whose *scan
+///   patchBytes(id, off, b[]) — overwrite bytes in place and put on the
+///                              dirty list every chunk whose *scan
 ///                              window* intersects the patched range
 ///                              (windows overhang chunk ends by the DFA
 ///                              read bound, so a patch near a chunk
 ///                              start also dirties its predecessor);
 ///   reverify(id)             — re-scan dirty chunks only (walking the
-///                              image's dirty list, never all its
-///                              cards; through the ChunkCache, so
-///                              reverting a patch is a pure cache
-///                              hit), then *splice* the
-///                              re-merged window into the maintained
-///                              merge of the last accepted verdict: the
-///                              chain is replayed from the dirty chunk's
-///                              recorded entry position until it lands
-///                              back in sync on an untouched chunk base,
-///                              and only that window's marks change.
-///                              Any reject (and the first verdict) goes
-///                              through the full seam-aware join of
-///                              core/Shard instead, so the verdict stays
-///                              certified bit-identical to
-///                              `RockSalt::check` on the current bytes;
+///                              image's dirty list; through the
+///                              ChunkCache, so reverting a patch is a
+///                              pure cache hit), then *splice* them into
+///                              the maintained merge of the last
+///                              accepted verdict: when every new scan
+///                              ends exactly on its chunk's end, each
+///                              run of adjacent dirty chunks swaps its
+///                              old scans' marks for the new ones and
+///                              re-checks the final pass over that
+///                              window only. Any reject (and the first
+///                              verdict) goes through the full
+///                              seam-aware join of core/Shard instead,
+///                              so the verdict stays certified
+///                              bit-identical to `RockSalt::check` on
+///                              the current bytes;
 ///   patch(id, off, b[])      — patchBytes + reverify, the service's
 ///                              per-request shape;
 ///   close(id)                — unregister (cached scans stay shared).
@@ -61,9 +61,10 @@ struct IncrementalOptions {
   ChunkCacheOptions Cache;
 };
 
-/// One spliced re-verification window: the chain was replayed over
-/// [Begin, End) and only that range's marks changed. Begin and End are
-/// chain positions in both the old and the new match chain, so a
+/// One spliced re-verification window: a run of adjacent dirty chunks
+/// [Begin, End) whose scans were swapped, and only that range's marks
+/// changed. Begin and End are chunk bases (or the image end), so they
+/// are chain positions in both the old and the new match chain, and a
 /// consumer maintaining per-node state (the incremental linter) can
 /// splice its own window in. The InteriorTargets* flags report whether
 /// any direct branch landed strictly inside (Begin, End) before /
@@ -87,9 +88,11 @@ struct IncrResult {
   core::RejectReason Reason = core::RejectReason::None;
   uint32_t ChunksRescanned = 0; ///< dirty chunks whose scan was recomputed
   uint32_t ChunkCacheHits = 0;  ///< dirty chunks satisfied by the cache
-  uint64_t SeamRescans = 0;     ///< verifySteps replayed at chunk seams
+  /// verifySteps the full merge replayed at chunk seams: the splice
+  /// never steps a seam, so a spliced result counts zero.
+  uint64_t SeamRescans = 0;
   /// True when the verdict came from the O(patch) splice path; Windows
-  /// then lists every replayed window. False means a full merge ran
+  /// then lists every spliced window. False means a full merge ran
   /// (first verdict, any reject, or a splice bail-out) and Windows is
   /// empty.
   bool Spliced = false;
@@ -111,14 +114,14 @@ public:
   /// Registers \p Bytes and produces its initial verdict.
   ImageId open(std::vector<uint8_t> Bytes, IncrResult *Out = nullptr);
 
-  /// Overwrites [Offset, Offset+Len) with \p Bytes and marks dirty
-  /// cards; no re-verification. Throws std::invalid_argument on an
+  /// Overwrites [Offset, Offset+Len) with \p Bytes and lists the dirty
+  /// chunks; no re-verification. Throws std::invalid_argument on an
   /// unknown handle, a zero-length patch, or a range that leaves
   /// [0, size).
   void patchBytes(ImageId Id, uint32_t Offset, const uint8_t *Bytes,
                   uint32_t Len);
 
-  /// Re-verifies from the dirty cards; clears them. Throws
+  /// Re-verifies from the dirty list; clears it. Throws
   /// std::invalid_argument on an unknown handle.
   IncrResult reverify(ImageId Id);
 
@@ -146,19 +149,15 @@ public:
 
 private:
   ImageEntry &entry(ImageId Id);
-  /// O(patch) path: replays the chain across each dirty range and
-  /// splices the window into E.Merge. False when the result is not a
-  /// clean accept (parse failure, finalize violation, no prior accepted
-  /// merge) — the caller then runs the full merge.
+  /// O(patch) path: swaps each run of adjacent dirty chunks' scans
+  /// into E.Merge and re-checks the final pass over that window. False
+  /// when the result is not a clean accept (a new scan that fails or
+  /// ends off its chunk's end, a finalize violation) — the caller then
+  /// runs the full merge.
   bool spliceReverify(ImageEntry &E, IncrResult &Res);
-  /// Rebuilds E.Merge's attribution state from an accepted full merge,
-  /// taking ownership of its result.
-  void rebuildMergeState(ImageEntry &E, core::CheckResult &&R);
 
-  const core::PolicyTables &Tables;
-  /// The fused form of Tables, built once per verifier: chunk scans,
-  /// splice replays, and full merges all drive it (the legacy Tables
-  /// stay for the read-bound derivation and for identity/debugging).
+  /// The fused form of the policy tables, built once per verifier: chunk
+  /// scans and full merges drive it.
   core::FusedPolicy Fused;
   uint32_t MaxRead;
   IncrementalOptions Opts;
@@ -166,11 +165,9 @@ private:
   ChunkCache Cache;
   ImageStore Store;
   std::vector<const core::ShardScan *> MergeScratch; ///< reused per merge
-  /// Splice scratch: the in-sync chunk scans of one window, then the
-  /// seam steps' starts and pair jumps, and every (chunk, target).
-  std::vector<const core::ShardScan *> SegChunks;
-  std::vector<uint32_t> SegValid, SegPair;
-  std::vector<std::pair<uint32_t, uint32_t>> SegTgt;
+  /// The dirty chunks' previous scans, in dirty-list order, held for one
+  /// reverify so the splice can retire their targets.
+  std::vector<std::shared_ptr<const core::ShardScan>> OldScans;
 };
 
 } // namespace incr

@@ -101,7 +101,7 @@ struct Metrics {
 
   // Incremental re-verify internals (incr/IncrementalVerifier).
   Counter ShardsScanned;    ///< chunks re-scanned (cache misses)
-  Counter SeamRescans;      ///< verifySteps replayed at chunk seams
+  Counter SeamRescans;      ///< seam verifySteps of full merges (rejects)
 
   // Pool internals.
   Counter TasksRun;

@@ -53,7 +53,7 @@ std::vector<uint8_t> workload(uint32_t Bytes, uint64_t Seed) {
 TEST(IncrTest, MaxScanReadBytesIsSane) {
   uint32_t MaxRead = incr::maxScanReadBytes(core::policyTables());
   // Multi-byte instructions exist, and no policy instruction is longer
-  // than a bundle — the dirty-card arithmetic and the chunk-skip
+  // than a bundle — the dirty-chunk arithmetic and the chunk-skip
   // argument both lean on MaxRead < ChunkBytes (>= BundleSize).
   EXPECT_GE(MaxRead, 2u);
   EXPECT_LE(MaxRead, core::BundleSize);
@@ -219,7 +219,7 @@ TEST(IncrTest, OpenMatchesFullCheckOnMixedImages) {
     EXPECT_EQ(R.ChunksRescanned + R.ChunkCacheHits,
               V.store().get(Id)->numChunks());
     expectBitIdentical(V, Id, Img, "open");
-    // A reverify with no dirty cards must not change the verdict.
+    // A reverify with no dirty chunks must not change the verdict.
     incr::IncrResult R2 = V.reverify(Id);
     EXPECT_EQ(R2.ChunksRescanned, 0u);
     EXPECT_EQ(R2.Ok, R.Ok);
@@ -346,6 +346,9 @@ TEST(IncrTest, BatchedPatchesThenOneReverify) {
       SCOPED_TRACE(What + ", chunk " + std::to_string(CB));
       incr::IncrResult R = V.reverify(Id);
       EXPECT_EQ(R.ChunksRescanned + R.ChunkCacheHits, Dirty.size());
+      if (R.Spliced) {
+        EXPECT_EQ(R.SeamRescans, 0u); // the splice never steps a seam
+      }
       if (Scripted) {
         size_t Runs = 0;
         for (uint32_t C : Dirty)
@@ -393,6 +396,48 @@ TEST(IncrTest, BatchedPatchesThenOneReverify) {
       }
       Reverify("random batch " + std::to_string(Step), false);
     }
+  }
+}
+
+TEST(IncrTest, ScanOverrunningItsChunkEndLeavesTheRejectToTheFullMerge) {
+  // From an accepted nop image, a one-byte patch turns the last byte of
+  // chunk 1 into the opcode of a five-byte `mov eax, imm32` whose
+  // immediate is chunk 2's first four nops. Chunk 1 still parses, but
+  // its new scan stops four bytes past its end, so chunk 2's base is no
+  // instruction start. Chunk 2 is not dirty and keeps its old scan, and
+  // chunk 1's window alone passes the final pass: only the splice's
+  // end-of-chunk check sees the overrun and hands the reject to the
+  // full merge.
+  for (uint32_t CB : {32u, 128u, 512u}) {
+    SCOPED_TRACE("chunk " + std::to_string(CB));
+    std::vector<uint8_t> Img(4 * 512, 0x90);
+    incr::IncrementalOptions IO;
+    IO.ChunkBytes = CB;
+    incr::IncrementalVerifier V(IO);
+    incr::ImageId Id = V.open(Img);
+    ASSERT_TRUE(V.lastCheck(Id).Ok);
+
+    const uint32_t Off = 2 * CB - 1;
+    uint8_t Mov = 0xB8, Nop = 0x90;
+    Img[Off] = Mov;
+    incr::IncrResult R = V.patch(Id, Off, &Mov, 1);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Reason, core::RejectReason::UnalignedBundle);
+    EXPECT_FALSE(R.Spliced);
+    EXPECT_GT(R.SeamRescans, 0u); // the full merge re-checked the seam
+    expectBitIdentical(V, Id, Img, "overrun");
+
+    // Reverting is a cache hit back to the accepted bitmaps, and the
+    // next accepted patch splices again.
+    Img[Off] = Nop;
+    R = V.patch(Id, Off, &Nop, 1);
+    EXPECT_TRUE(R.Ok);
+    EXPECT_EQ(R.ChunksRescanned, 0u);
+    expectBitIdentical(V, Id, Img, "revert");
+    R = V.patch(Id, Off, &Nop, 1);
+    EXPECT_TRUE(R.Ok);
+    EXPECT_TRUE(R.Spliced);
+    expectBitIdentical(V, Id, Img, "splice after revert");
   }
 }
 
