@@ -49,11 +49,10 @@ std::vector<uint8_t> makeImage() {
 
 /// A 64-byte patch of single-byte instructions: a nop sled or an
 /// inc-eax sled. Alternating the two means consecutive visits to one
-/// offset change the content (no accidental cache hits flattering the
-/// number), and single-byte instructions keep every byte an instruction
-/// start, so direct jumps elsewhere in the image that target the
-/// patched window stay valid — the bench measures the accepted steady
-/// state, the JIT workload's common case.
+/// offset change the content, and single-byte instructions keep every
+/// byte an instruction start, so direct jumps elsewhere in the image
+/// that target the patched window stay valid — the bench measures the
+/// accepted steady state, the JIT workload's common case.
 void fillPatch(std::vector<uint8_t> &Out, bool IncSled) {
   Out.assign(PatchBytes, IncSled ? 0x40 : 0x90); // inc eax / nop
 }
@@ -123,7 +122,7 @@ int main(int argc, char **argv) {
       return 1;
     }
   }
-  // The measured instance: fresh verifier, fresh cache.
+  // The measured instance: a fresh verifier.
   incr::IncrementalVerifier Timed;
   incr::ImageId Id = Timed.open(Img);
 
@@ -134,7 +133,7 @@ int main(int argc, char **argv) {
 
   std::vector<uint8_t> Patch;
   uint32_t Slot = 0;
-  uint64_t Rescans = 0, Hits = 0;
+  uint64_t Rescans = 0;
   bool AllAccepted = true;
   double PatchMs = medianMs([&] {
     // Rotate bundle-aligned offsets so no rep revisits content it wrote
@@ -144,7 +143,6 @@ int main(int argc, char **argv) {
     ++Slot;
     incr::IncrResult R = Timed.patch(Id, Off, Patch.data(), PatchBytes);
     Rescans += R.ChunksRescanned;
-    Hits += R.ChunkCacheHits;
     AllAccepted = AllAccepted && R.Ok;
     benchmark::DoNotOptimize(R.Ok);
   });
@@ -162,9 +160,8 @@ int main(int argc, char **argv) {
   std::printf("open (initial chunked scan):   %8.3f ms\n", OpenMs);
   std::printf("full re-check per patch:       %8.3f ms\n", FullMs);
   std::printf("incremental re-verify (64 B):  %8.3f ms  (%.1fx faster; "
-              "%llu chunk rescans, %llu cache hits over the run)\n",
-              PatchMs, Speedup, static_cast<unsigned long long>(Rescans),
-              static_cast<unsigned long long>(Hits));
+              "%llu chunk rescans over the run)\n",
+              PatchMs, Speedup, static_cast<unsigned long long>(Rescans));
   if (Speedup < 5.0)
     std::printf("*** incremental patch re-verify did NOT beat the full "
                 "check by >= 5x — the incr subsystem regressed ***\n");

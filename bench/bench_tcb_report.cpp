@@ -16,8 +16,8 @@
 //     production core is certified against;
 //   * the incremental path: what the service's patch frames and the
 //     incremental verifier trust on top of the production core — the
-//     shard scan and seam-aware merge, the splice, and the chunk key
-//     that lets a cached scan stand in for a fresh one;
+//     shard scan and seam-aware merge, the splice, and the read bound
+//     that decides which chunk scans a patch makes stale;
 //   * the generator-side declarative policy: core/Policy.cpp;
 //   * the hand-written comparison checker: core/BaselineChecker.cpp.
 //
@@ -184,25 +184,25 @@ const std::vector<Piece> ReferenceWalk = {
 /// The incremental path, beyond the production core it shares (the
 /// shard scan is driveChain with the shard sink). Shard.cpp is counted
 /// whole: its two merge overloads share a first line, and the file is
-/// only the sink, the scan, the partition and the merge. The chunk key
-/// is in the row because a cache hit replaces a fresh scan, so a key
-/// that missed a byte the scan reads would hand back a stale scan; the
-/// window it hashes is sized by the tables' read bound. SHA-256 itself
-/// is not counted: it is a primitive pinned by known-answer tests.
+/// only the sink, the scan, the partition and the merge. A chunk is
+/// rescanned only when a patch touches its scan window, so the dirty
+/// rule in patchBytes and the read bound that sizes the windows are in
+/// the row: a window that came out short would leave a stale scan in
+/// the verdict.
 const std::vector<Piece> IncrementalPath = {
     {"core/Shard.h", "struct ShardScan {"},
     {"core/Shard.cpp", nullptr},
     {"core/Verifier.cpp", "StepKind core::verifyStep(const FusedPolicy"},
+    {"incr/IncrementalVerifier.cpp", "void IncrementalVerifier::patchBytes("},
     {"incr/IncrementalVerifier.cpp", "IncrResult IncrementalVerifier::reverify("},
     {"incr/IncrementalVerifier.cpp", "bool IncrementalVerifier::spliceReverify("},
-    {"incr/ChunkCache.cpp", "ChunkKey incr::chunkKey("},
-    {"incr/ChunkCache.cpp", "uint32_t incr::maxScanReadBytes("},
-    {"incr/ChunkCache.cpp", "uint32_t maxReadOf("},
+    {"incr/IncrementalVerifier.cpp", "uint32_t incr::maxScanReadBytes("},
+    {"incr/IncrementalVerifier.cpp", "uint32_t maxReadFrom("},
 };
 
 /// The incremental row's code-line budget, held like the production
 /// row's.
-constexpr int MaxIncrementalPathCode = 327;
+constexpr int MaxIncrementalPathCode = 271;
 
 } // namespace
 

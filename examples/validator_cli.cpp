@@ -613,12 +613,11 @@ int runPatchesLocal(const std::string &Path, std::vector<uint8_t> Code,
                  IR.Valid == FullR.Valid && IR.Target == FullR.Target &&
                  IR.PairJmp == FullR.PairJmp;
     std::printf("  patch %zu at %u (%zu bytes): %s%s%s  (incremental %.3f ms "
-                "/ full %.3f ms; %u rescanned, %u cache hits)%s\n",
+                "/ full %.3f ms; %u rescanned)%s\n",
                 I + 1, P.Offset, P.Bytes.size(),
                 R.Ok ? "ACCEPT" : "REJECT", R.Ok ? "" : "  reason: ",
                 R.Ok ? "" : core::rejectReasonName(R.Reason),
                 MsBetween(T0, T1), MsBetween(T2, T3), R.ChunksRescanned,
-                R.ChunkCacheHits,
                 Agree ? "" : "  *** DIVERGED FROM FULL CHECK ***");
     if (!Agree)
       return 1;
@@ -795,12 +794,12 @@ int runClient(const CliOptions &Opts) {
             svc::proto::PatchReply R = svc::proto::decodePatchResponse(
                 expectFrame(In, MsgKind::PatchResponse).Body);
             std::printf("  patch %zu at %u (%zu bytes): %s%s%s  "
-                        "(%u rescanned, %u cache hits)\n",
+                        "(%u rescanned)\n",
                         I + 1, B.Offset, B.Bytes.size(),
                         R.V.Ok ? "ACCEPT" : "REJECT",
                         R.V.Ok ? "" : "  reason: ",
                         R.V.Ok ? "" : core::rejectReasonName(R.V.Reason),
-                        R.ChunksRescanned, R.ChunkCacheHits);
+                        R.ChunksRescanned);
             if (R.HasLint)
               std::printf("%s", R.Lint.Render.c_str());
             Rc |= R.V.Ok ? 0 : 1;

@@ -43,8 +43,6 @@ $ROOT/src/svc/SessionConn.h
 $ROOT/src/svc/SessionConn.cpp
 $ROOT/src/svc/EventLoop.h
 $ROOT/src/svc/EventLoop.cpp
-$ROOT/src/incr/ChunkCache.h
-$ROOT/src/incr/ChunkCache.cpp
 $ROOT/src/incr/ImageStore.h
 $ROOT/src/incr/ImageStore.cpp
 $ROOT/src/incr/IncrementalVerifier.h

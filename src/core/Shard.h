@@ -9,7 +9,7 @@
 /// Each shard is scanned independently (`scanShard`, the verify driver
 /// of core/ChainDriver.h with the shard sink) and the per-shard results
 /// are joined sequentially (`mergeShardScans`). incr/ scans each chunk
-/// of an image as a shard, caches the scans, and joins them here; the
+/// of an image as a shard, keeps the scans, and joins them here; the
 /// shard-derived lint and `fuzz_differential --fused` split whole
 /// images with `partitionShards`.
 ///
@@ -83,9 +83,6 @@ struct ShardScan {
         F(Begin + uint32_t(W * 64) + uint32_t(std::countr_zero(Bits)));
   }
 
-  /// Bytes held by the start bitmap (the chunk cache's accounting).
-  size_t startBytes() const { return StartWords.capacity() * sizeof(uint64_t); }
-
 private:
   friend void scanShard(const FusedPolicy &, const uint8_t *, uint32_t,
                         ShardScan &);
@@ -99,9 +96,10 @@ private:
 /// would mark on the same chain, including the failing position. Both
 /// lanes stop at the first instruction start at or past S.End, so what
 /// the scan records depends on no byte past the last instruction begun
-/// below S.End, and the chunk cache's scan-window contract
-/// (incr/ChunkCache.h) is untouched. The next shard's first line is
-/// prefetched across the seam.
+/// below S.End: that is the scan-window contract the incremental
+/// verifier's dirty rule rests on (a patch outside a chunk's window
+/// cannot change its scan; incr/IncrementalVerifier.h). The next
+/// shard's first line is prefetched across the seam.
 void scanShard(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                ShardScan &S);
 
@@ -124,9 +122,8 @@ CheckResult mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
                             uint64_t *SeamRescans = nullptr);
 
 /// Pointer-span form of the join above: the shards live wherever the
-/// caller keeps them (the incremental verifier merges a mix of cached
-/// and freshly scanned chunks held behind shared_ptrs). Identical
-/// semantics; the vector overload delegates here.
+/// caller keeps them. Identical semantics; the vector overload
+/// delegates here.
 CheckResult mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
                             uint32_t Size, const ShardScan *const *Shards,
                             size_t NumShards, uint64_t *SeamRescans = nullptr);

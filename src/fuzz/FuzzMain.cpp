@@ -337,17 +337,14 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
 
   std::printf("fuzz_differential --patches: %llu images, %llu patch steps "
               "(%llu batched, %llu from an accepted image, %llu spliced), "
-              "%llu disagreements (chunk hits %llu, misses %llu, "
-              "evictions %llu)\n",
+              "%llu disagreements (%llu chunks rescanned)\n",
               static_cast<unsigned long long>(O.Images),
               static_cast<unsigned long long>(StepsRun),
               static_cast<unsigned long long>(BatchedSteps),
               static_cast<unsigned long long>(FromAccepted),
               static_cast<unsigned long long>(Spliced),
               static_cast<unsigned long long>(Disagreements),
-              static_cast<unsigned long long>(M.IncrChunkHits.get()),
-              static_cast<unsigned long long>(M.IncrChunkMisses.get()),
-              static_cast<unsigned long long>(M.IncrChunkEvictions.get()));
+              static_cast<unsigned long long>(M.ShardsScanned.get()));
   if (O.Stats)
     std::fputs(M.dump().c_str(), stdout);
   // Structured patches alone mostly leave the image rejected, where

@@ -17,7 +17,7 @@ ImageId ImageStore::open(std::vector<uint8_t> Bytes, uint32_t ChunkBytes) {
   E.Bytes = std::move(Bytes);
   E.ChunkBytes = ChunkBytes;
   uint32_t NumChunks = (E.size() + ChunkBytes - 1) / ChunkBytes;
-  E.Chunks.assign(NumChunks, nullptr);
+  E.Chunks.resize(NumChunks);
   E.DirtyList.resize(NumChunks);
   std::iota(E.DirtyList.begin(), E.DirtyList.end(), 0u);
   ImageId Id = NextId++;

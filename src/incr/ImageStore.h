@@ -3,10 +3,10 @@
 /// \file
 /// The registry of long-lived images the incremental verifier tracks:
 /// id → current bytes + chunk geometry + the per-chunk scan results that
-/// certify the last verdict + a dirty list of the chunks whose scan
-/// window a patch has touched since the last re-verification (the shape
-/// of a GC remembered set: writes append to it, the collector — here the
-/// re-verifier — visits and clears it).
+/// certify the last verdict (each image owns its own) + a dirty list of
+/// the chunks whose scan window a patch has touched since the last
+/// re-verification (the shape of a GC remembered set: writes append to
+/// it, the collector — here the re-verifier — visits and clears it).
 ///
 /// The store is pure bookkeeping; `incr::IncrementalVerifier` owns the
 /// scanning and merging policy on top of it.
@@ -19,7 +19,6 @@
 #include "core/Shard.h"
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -52,10 +51,10 @@ struct ImageEntry {
   std::vector<uint8_t> Bytes; ///< current contents (patches mutate in place)
   uint32_t ChunkBytes = 0;    ///< chunk granularity (multiple of BundleSize)
   /// Per-chunk scans backing the last verdict; Chunks[i] covers
-  /// [i*ChunkBytes, min((i+1)*ChunkBytes, size)). Null until first scan.
-  std::vector<std::shared_ptr<const core::ShardScan>> Chunks;
+  /// [i*ChunkBytes, min((i+1)*ChunkBytes, size)). Empty until first scan.
+  std::vector<core::ShardScan> Chunks;
   /// The chunks whose scan window a patch touched since their scans in
-  /// Chunks were (re)computed, in patch order and possibly repeated:
+  /// Chunks were computed, in patch order and possibly repeated:
   /// re-verification sorts and deduplicates it and visits only those,
   /// so it costs O(patch) however large the image.
   std::vector<uint32_t> DirtyList;

@@ -1,21 +1,22 @@
 //===- incr/IncrementalVerifier.cpp - O(patch) re-verification ------------===//
 //
 // The re-verification loop: the dirty list says which chunk scans a
-// patch invalidated, the ChunkCache resolves each dirty chunk by
-// content (a reverted patch is a pure hit), and on the accepted steady
-// state the new scans are spliced into the maintained merge: chunk
-// bases are bundle boundaries, so an accepted image's chain is the
-// concatenation of its chunk scans, and swapping a dirty chunk's old
-// scan for its new one changes only that chunk's marks. Everything
-// else (first verdict, rejects, finalize violations) falls back to the
-// full seam-aware merge of core/Shard, which keeps every verdict
-// bit-identical to the sequential checker. Finding the dirty chunks,
-// the scan and the splice are then all O(patch), which is the bench
-// gate's >= 5x.
+// patch invalidated, each dirty chunk is rescanned in place, and on the
+// accepted steady state the new scans are spliced into the maintained
+// merge: chunk bases are bundle boundaries, so an accepted image's
+// chain is the concatenation of its chunk scans, and swapping a dirty
+// chunk's old scan for its new one changes only that chunk's marks.
+// Everything else (first verdict, rejects, finalize violations) falls
+// back to the full seam-aware merge of core/Shard, which keeps every
+// verdict bit-identical to the sequential checker. Finding the dirty
+// chunks, the scan and the splice are then all O(patch), which is the
+// bench gate's >= 5x.
 //
 //===----------------------------------------------------------------------===//
 
 #include "incr/IncrementalVerifier.h"
+
+#include "svc/Metrics.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -29,7 +30,7 @@ IncrementalVerifier::IncrementalVerifier(IncrementalOptions O, svc::Metrics *M)
 IncrementalVerifier::IncrementalVerifier(const core::PolicyTables &T,
                                          IncrementalOptions O, svc::Metrics *M)
     : Fused(core::buildFusedPolicy(T)), MaxRead(maxScanReadBytes(T)), Opts(O),
-      Met(M), Cache(O.Cache, M) {
+      Met(M) {
   if (Opts.ChunkBytes == 0 || Opts.ChunkBytes % core::BundleSize != 0)
     throw std::invalid_argument(
         "incremental chunk granularity must be a nonzero multiple of the "
@@ -50,6 +51,43 @@ ImageId IncrementalVerifier::open(std::vector<uint8_t> Bytes, IncrResult *Out) {
   return Id;
 }
 
+namespace {
+
+/// The most bytes `dfaMatch` reads from state \p S: it stops on entering
+/// an accepting (shortest match) or rejecting state, so this is the
+/// longest path out of S whose last edge is the first to enter one. A
+/// memoized DFS: Memo is 0 before S is visited, ~0u while S is on the
+/// DFS path (meeting it again is a live non-accepting cycle), and the
+/// bound after.
+uint32_t maxReadFrom(const re::Dfa &A, uint32_t S, std::vector<uint32_t> &Memo) {
+  if (Memo[S] == ~0u)
+    throw std::logic_error("policy DFA has a live non-accepting cycle: no "
+                           "finite scan window exists");
+  if (Memo[S] == 0) {
+    Memo[S] = ~0u;
+    uint32_t Most = 0;
+    for (uint32_t Next : A.Table[S])
+      Most = std::max(Most, (A.Accepts[Next] || A.Rejects[Next])
+                                ? 1u
+                                : 1 + maxReadFrom(A, Next, Memo));
+    Memo[S] = Most;
+  }
+  return Memo[S];
+}
+
+} // namespace
+
+uint32_t incr::maxScanReadBytes(const core::PolicyTables &T) {
+  // dfaMatch reads one byte before it tests a state, so the start
+  // state's own verdict never stops it.
+  uint32_t Most = 0;
+  for (const re::Dfa *A : {&T.MaskedJump, &T.NoControlFlow, &T.DirectJump}) {
+    std::vector<uint32_t> Memo(A->numStates(), 0);
+    Most = std::max(Most, maxReadFrom(*A, A->Start, Memo));
+  }
+  return Most;
+}
+
 void IncrementalVerifier::patchBytes(ImageId Id, uint32_t Offset,
                                      const uint8_t *Bytes, uint32_t Len) {
   ImageEntry &E = entry(Id);
@@ -63,23 +101,12 @@ void IncrementalVerifier::patchBytes(ImageId Id, uint32_t Offset,
 
   // Chunk c's scan read the window [c*CB, (c+1)*CB - 1 + MaxRead)
   // (clamped to the image), so the patch invalidates every chunk whose
-  // window intersects [Offset, Offset+Len): the chunks containing the
-  // patched bytes plus predecessors whose window overhangs into them.
+  // window intersects [Offset, Offset+Len): the chunks holding
+  // [Offset - (MaxRead - 1), Offset + Len), that is the patched bytes
+  // and the overhang an earlier chunk's last instruction may reach into.
   const uint32_t CB = E.ChunkBytes;
-  uint32_t LastC = (Offset + Len - 1) / CB;
-  if (LastC >= E.numChunks())
-    LastC = E.numChunks() - 1;
-  // Smallest c with (c+1)*CB - 1 + MaxRead >= Offset + 1, i.e. whose
-  // unclamped window end exceeds Offset. (Clamping the window end to the
-  // image size never excludes Offset, since Offset < size.)
-  uint32_t FirstC = 0;
-  int64_t Need = int64_t(Offset) + 2 - int64_t(MaxRead); // (c+1)*CB >= Need
-  if (Need > 0) {
-    int64_t CPlus1 = (Need + CB - 1) / CB;
-    if (CPlus1 > 1)
-      FirstC = uint32_t(CPlus1 - 1);
-  }
-  for (uint32_t C = FirstC; C <= LastC; ++C)
+  uint32_t From = Offset + 1 > MaxRead ? Offset + 1 - MaxRead : 0;
+  for (uint32_t C = From / CB; C <= (Offset + Len - 1) / CB; ++C)
     E.DirtyList.push_back(C);
 }
 
@@ -90,52 +117,43 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
   const uint8_t *Code = E.Bytes.data();
   const uint32_t Size = E.size();
   const uint32_t CB = E.ChunkBytes;
+  MergeState &M = E.Merge;
   // Batched patches may list a chunk more than once; the splice walks
   // the dirty chunks in chain order, each once.
   std::sort(E.DirtyList.begin(), E.DirtyList.end());
   E.DirtyList.erase(std::unique(E.DirtyList.begin(), E.DirtyList.end()),
                     E.DirtyList.end());
-  for (uint32_t C : E.DirtyList) {
-    uint32_t Begin = C * CB;
-    uint32_t End = Begin + CB < Size ? Begin + CB : Size;
-    ChunkKey K = chunkKey(Code, Size, Begin, End, MaxRead);
-    std::shared_ptr<const core::ShardScan> Scan = Cache.lookup(K);
-    if (Scan) {
-      ++Res.ChunkCacheHits;
-    } else {
-      auto Fresh = std::make_shared<core::ShardScan>();
-      Fresh->reset(Begin, End);
-      scanShard(Fused, Code, Size, *Fresh);
-      Scan = Cache.insert(K, std::move(Fresh));
-      ++Res.ChunksRescanned;
-    }
-    OldScans.push_back(std::move(E.Chunks[C]));
-    E.Chunks[C] = std::move(Scan);
+  // Only the splice, which runs from an accepted merge, reads the old
+  // scans: there each one swaps into a scratch slot, and the chunk
+  // rescans into the buffers the slot held.
+  if (M.Ok && OldScans.size() < E.DirtyList.size())
+    OldScans.resize(E.DirtyList.size());
+  for (size_t I = 0; I < E.DirtyList.size(); ++I) {
+    core::ShardScan &S = E.Chunks[E.DirtyList[I]];
+    if (M.Ok)
+      std::swap(S, OldScans[I]);
+    uint32_t Begin = E.DirtyList[I] * CB;
+    S.reset(Begin, Begin + CB < Size ? Begin + CB : Size);
+    scanShard(Fused, Code, Size, S);
   }
+  Res.ChunksRescanned = uint32_t(E.DirtyList.size());
 
-  MergeState &M = E.Merge;
   if (!M.Ok || !spliceReverify(E, Res)) {
     // Full path: first verdict, rejects, and splice bail-outs. The
     // seam-aware join is the certified-bit-identical reference.
     Res.Windows.clear(); // drop any windows a bailed-out splice appended
-    MergeScratch.clear();
-    MergeScratch.reserve(E.numChunks());
-    for (const auto &S : E.Chunks)
-      MergeScratch.push_back(S.get());
-    M.R = core::mergeShardScans(Fused, Code, Size, MergeScratch.data(),
-                                MergeScratch.size(), &Res.SeamRescans);
+    M.R = core::mergeShardScans(Fused, Code, Size, E.Chunks, &Res.SeamRescans);
     M.Ok = Res.Ok = M.R.Ok;
     Res.Reason = M.R.Reason;
     // An accepted merge is the concatenation of the chunk scans (see
     // spliceReverify), so its targets are exactly theirs.
     M.TargetCnt.clear();
     if (M.Ok)
-      for (const auto &S : E.Chunks)
-        for (uint32_t T : S->TargetPos)
+      for (const core::ShardScan &S : E.Chunks)
+        for (uint32_t T : S.TargetPos)
           ++M.TargetCnt[T];
   }
   E.DirtyList.clear();
-  OldScans.clear();
 
   if (Met) {
     Met->ShardsScanned.add(Res.ChunksRescanned);
@@ -157,7 +175,7 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
   // bundle boundary that is not an instruction start. Both are rejects
   // whose reason and bitmaps the full merge pins.
   for (uint32_t C : Dirty)
-    if (E.Chunks[C]->StopPos != E.Chunks[C]->End)
+    if (E.Chunks[C].StopPos != E.Chunks[C].End)
       return false;
 
   // Does any direct branch land strictly inside (B, End)?
@@ -170,15 +188,15 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
     size_t J = I + 1;
     while (J < Dirty.size() && Dirty[J] == Dirty[J - 1] + 1)
       ++J;
-    const uint32_t B = E.Chunks[Dirty[I]]->Begin;
-    const uint32_t End = E.Chunks[Dirty[J - 1]]->End;
+    const uint32_t B = E.Chunks[Dirty[I]].Begin;
+    const uint32_t End = E.Chunks[Dirty[J - 1]].End;
     const bool InteriorBefore = Interior(B, End);
 
     // Swap the old scans' marks for the new ones: retire the old
     // targets (refcounted, so a target another jump still justifies
     // stays), clear the window's starts and pair jumps, apply the new.
     for (size_t K = I; K < J; ++K)
-      for (uint32_t T : OldScans[K]->TargetPos) {
+      for (uint32_t T : OldScans[K].TargetPos) {
         auto It = M.TargetCnt.find(T);
         if (--It->second == 0) {
           M.TargetCnt.erase(It);
@@ -188,7 +206,7 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
     std::fill(M.R.Valid.begin() + B, M.R.Valid.begin() + End, 0);
     std::fill(M.R.PairJmp.begin() + B, M.R.PairJmp.begin() + End, 0);
     for (size_t K = I; K < J; ++K) {
-      const core::ShardScan &S = *E.Chunks[Dirty[K]];
+      const core::ShardScan &S = E.Chunks[Dirty[K]];
       S.forEachStart([&M](uint32_t P) { M.R.Valid[P] = 1; });
       for (uint32_t P : S.PairJmpPos)
         M.R.PairJmp[P] = 1;
@@ -205,7 +223,7 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
       if ((M.R.Target[P] || !(P & (core::BundleSize - 1))) && !M.R.Valid[P])
         return false;
     for (size_t K = I; K < J; ++K)
-      for (uint32_t T : E.Chunks[Dirty[K]]->TargetPos)
+      for (uint32_t T : E.Chunks[Dirty[K]].TargetPos)
         if (!M.R.Valid[T])
           return false;
     Res.Windows.push_back({B, End, InteriorBefore, Interior(B, End)});

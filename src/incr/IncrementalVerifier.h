@@ -8,25 +8,22 @@
 ///
 /// Protocol per image:
 ///
-///   open(bytes)              — register, scan every chunk (cold chunks
-///                              may still hit the cache from identical
-///                              chunks of other images), merge, verdict;
+///   open(bytes)              — register, scan every chunk, merge,
+///                              verdict;
 ///   patchBytes(id, off, b[]) — overwrite bytes in place and put on the
 ///                              dirty list every chunk whose *scan
 ///                              window* intersects the patched range
 ///                              (windows overhang chunk ends by the DFA
 ///                              read bound, so a patch near a chunk
 ///                              start also dirties its predecessor);
-///   reverify(id)             — re-scan dirty chunks only (walking the
-///                              image's dirty list; through the
-///                              ChunkCache, so reverting a patch is a
-///                              pure cache hit), then *splice* them into
-///                              the maintained merge of the last
-///                              accepted verdict: when every new scan
-///                              ends exactly on its chunk's end, each
-///                              run of adjacent dirty chunks swaps its
-///                              old scans' marks for the new ones and
-///                              re-checks the final pass over that
+///   reverify(id)             — rescan the dirty chunks only (walking
+///                              the image's dirty list), then *splice*
+///                              them into the maintained merge of the
+///                              last accepted verdict: when every new
+///                              scan ends exactly on its chunk's end,
+///                              each run of adjacent dirty chunks swaps
+///                              its old scans' marks for the new ones
+///                              and re-checks the final pass over that
 ///                              window only. Any reject (and the first
 ///                              verdict) goes through the full
 ///                              seam-aware join of core/Shard instead,
@@ -35,7 +32,11 @@
 ///                              the current bytes;
 ///   patch(id, off, b[])      — patchBytes + reverify, the service's
 ///                              per-request shape;
-///   close(id)                — unregister (cached scans stay shared).
+///   close(id)                — unregister.
+///
+/// A chunk scan is recomputed exactly when a patch touched its window,
+/// so the dirty rule (and the read bound that sizes the windows) is
+/// what keeps a stale scan out of a verdict.
 ///
 /// Patches never change an image's size: the sandbox loader maps code
 /// regions once; tier-ups overwrite in place (pad with nops to grow).
@@ -47,18 +48,28 @@
 #ifndef ROCKSALT_INCR_INCREMENTALVERIFIER_H
 #define ROCKSALT_INCR_INCREMENTALVERIFIER_H
 
-#include "incr/ChunkCache.h"
 #include "incr/ImageStore.h"
 
 namespace rocksalt {
+namespace svc {
+struct Metrics;
+} // namespace svc
+
 namespace incr {
 
+/// The largest number of bytes one `verifyStep` can read starting at its
+/// chain position, derived from the tables: the longest run of
+/// transitions any of the three policy DFAs can make before reaching an
+/// accepting or rejecting state. Finite because the live, non-accepting
+/// part of each instruction DFA is acyclic — a cycle there would mean
+/// unboundedly long instructions. Throws std::logic_error if a table
+/// ever acquires such a cycle (no finite scan window exists then).
+uint32_t maxScanReadBytes(const core::PolicyTables &T);
+
 struct IncrementalOptions {
-  /// Chunk granularity (cache line of the incremental scheme): smaller
-  /// chunks re-scan less per patch but merge more entries; must be a
-  /// nonzero multiple of core::BundleSize.
+  /// Chunk granularity: smaller chunks re-scan less per patch but merge
+  /// more entries; must be a nonzero multiple of core::BundleSize.
   uint32_t ChunkBytes = 512;
-  ChunkCacheOptions Cache;
 };
 
 /// One spliced re-verification window: a run of adjacent dirty chunks
@@ -86,8 +97,10 @@ struct SpliceWindow {
 struct IncrResult {
   bool Ok = false;
   core::RejectReason Reason = core::RejectReason::None;
-  uint32_t ChunksRescanned = 0; ///< dirty chunks whose scan was recomputed
-  uint32_t ChunkCacheHits = 0;  ///< dirty chunks satisfied by the cache
+  uint32_t ChunksRescanned = 0; ///< dirty chunks (each one is rescanned)
+  /// Always 0: every dirty chunk is rescanned. Kept because
+  /// e2ebench/JitPatch.cpp still reads it.
+  uint32_t ChunkCacheHits = 0;
   /// verifySteps the full merge replayed at chunk seams: the splice
   /// never steps a seam, so a spliced result counts zero.
   uint64_t SeamRescans = 0;
@@ -101,8 +114,7 @@ struct IncrResult {
 
 class IncrementalVerifier {
 public:
-  /// \p M, when given, must outlive the verifier (its chunk cache
-  /// reports into the gauges until destroyed).
+  /// \p M, when given, must outlive the verifier.
   explicit IncrementalVerifier(IncrementalOptions O = {},
                                svc::Metrics *M = nullptr);
   IncrementalVerifier(const core::PolicyTables &T, IncrementalOptions O = {},
@@ -143,7 +155,6 @@ public:
   void close(ImageId Id);
 
   ImageStore &store() { return Store; }
-  ChunkCache &cache() { return Cache; }
   /// The DFA-derived per-step read bound the chunk windows use.
   uint32_t maxReadBytes() const { return MaxRead; }
 
@@ -162,12 +173,11 @@ private:
   uint32_t MaxRead;
   IncrementalOptions Opts;
   svc::Metrics *Met; ///< may be null
-  ChunkCache Cache;
   ImageStore Store;
-  std::vector<const core::ShardScan *> MergeScratch; ///< reused per merge
-  /// The dirty chunks' previous scans, in dirty-list order, held for one
-  /// reverify so the splice can retire their targets.
-  std::vector<std::shared_ptr<const core::ShardScan>> OldScans;
+  /// The dirty chunks' previous scans, in dirty-list order, so the
+  /// splice can retire their targets. Slots are swapped with the
+  /// chunks, never freed, so rescans reuse their buffers.
+  std::vector<core::ShardScan> OldScans;
 };
 
 } // namespace incr

@@ -5,12 +5,6 @@
 #include <algorithm>
 #include <cstring>
 
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define ROCKSALT_SHA_NI 1
-#include <cpuid.h>
-#include <immintrin.h>
-#endif
-
 using namespace rocksalt::support;
 
 namespace {
@@ -30,137 +24,7 @@ constexpr uint32_t K[64] = {
 
 uint32_t rotr(uint32_t X, unsigned N) { return (X >> N) | (X << (32 - N)); }
 
-using CompressFn = void (*)(uint32_t *, const uint8_t *, size_t);
-
-/// The compress this process uses, chosen by CPUID on first use.
-CompressFn compressFn() {
-  static const CompressFn Fn =
-      detail::hasShaNi() ? detail::compressShaNi : detail::compressPortable;
-  return Fn;
-}
-
 } // namespace
-
-void detail::compressPortable(uint32_t State[8], const uint8_t *Blocks,
-                              size_t NumBlocks) {
-  for (; NumBlocks; --NumBlocks, Blocks += 64) {
-    const uint8_t *Block = Blocks;
-    uint32_t W[64];
-    for (int I = 0; I < 16; ++I)
-      W[I] = (uint32_t(Block[4 * I]) << 24) |
-             (uint32_t(Block[4 * I + 1]) << 16) |
-             (uint32_t(Block[4 * I + 2]) << 8) | uint32_t(Block[4 * I + 3]);
-    for (int I = 16; I < 64; ++I) {
-      uint32_t S0 = rotr(W[I - 15], 7) ^ rotr(W[I - 15], 18) ^ (W[I - 15] >> 3);
-      uint32_t S1 = rotr(W[I - 2], 17) ^ rotr(W[I - 2], 19) ^ (W[I - 2] >> 10);
-      W[I] = W[I - 16] + S0 + W[I - 7] + S1;
-    }
-
-    uint32_t A = State[0], B = State[1], C = State[2], D = State[3];
-    uint32_t E = State[4], Fv = State[5], G = State[6], H = State[7];
-    for (int I = 0; I < 64; ++I) {
-      uint32_t S1 = rotr(E, 6) ^ rotr(E, 11) ^ rotr(E, 25);
-      uint32_t Ch = (E & Fv) ^ (~E & G);
-      uint32_t T1 = H + S1 + Ch + K[I] + W[I];
-      uint32_t S0 = rotr(A, 2) ^ rotr(A, 13) ^ rotr(A, 22);
-      uint32_t Maj = (A & B) ^ (A & C) ^ (B & C);
-      uint32_t T2 = S0 + Maj;
-      H = G;
-      G = Fv;
-      Fv = E;
-      E = D + T1;
-      D = C;
-      C = B;
-      B = A;
-      A = T1 + T2;
-    }
-    State[0] += A;
-    State[1] += B;
-    State[2] += C;
-    State[3] += D;
-    State[4] += E;
-    State[5] += Fv;
-    State[6] += G;
-    State[7] += H;
-  }
-}
-
-#ifdef ROCKSALT_SHA_NI
-
-bool detail::hasShaNi() {
-  static const bool Has = [] {
-    unsigned A, B, C, D;
-    if (!__get_cpuid(1, &A, &B, &C, &D) || !(C & bit_SSE4_1))
-      return false;
-    return __get_cpuid_count(7, 0, &A, &B, &C, &D) && (B & bit_SHA);
-  }();
-  return Has;
-}
-
-/// The state lives in two registers as (A,B,E,F) and (C,D,G,H);
-/// `sha256rnds2` runs two rounds, and `sha256msg1`/`sha256msg2` extend
-/// the message schedule four words at a time. Msg[j & 3] holds schedule
-/// words W[4j..4j+3].
-__attribute__((target("sha,sse4.1"))) void
-detail::compressShaNi(uint32_t State[8], const uint8_t *Blocks,
-                      size_t NumBlocks) {
-  const __m128i ByteSwap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-  __m128i Tmp = _mm_loadu_si128(reinterpret_cast<const __m128i *>(State));
-  __m128i St1 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(State + 4));
-  Tmp = _mm_shuffle_epi32(Tmp, 0xB1);         // C D A B
-  St1 = _mm_shuffle_epi32(St1, 0x1B);         // E F G H
-  __m128i St0 = _mm_alignr_epi8(Tmp, St1, 8); // A B E F
-  St1 = _mm_blend_epi16(St1, Tmp, 0xF0);      // C D G H
-
-  for (; NumBlocks; --NumBlocks, Blocks += 64) {
-    const __m128i Abef = St0, Cdgh = St1;
-    __m128i Msg[4];
-#pragma GCC unroll 16
-    for (int J = 0; J < 16; ++J) {
-      if (J < 4)
-        Msg[J] = _mm_shuffle_epi8(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(Blocks + 16 * J)),
-            ByteSwap);
-      __m128i Wk = _mm_add_epi32(
-          Msg[J & 3],
-          _mm_loadu_si128(reinterpret_cast<const __m128i *>(K + 4 * J)));
-      St1 = _mm_sha256rnds2_epu32(St1, St0, Wk);
-      // W[4(j+1)..]: msg1 of the group four back (folded in at j-2),
-      // plus W[t-7], then msg2 with this group.
-      if (J >= 3 && J < 15) {
-        __m128i &Next = Msg[(J + 1) & 3];
-        Next = _mm_add_epi32(Next,
-                             _mm_alignr_epi8(Msg[J & 3], Msg[(J + 3) & 3], 4));
-        Next = _mm_sha256msg2_epu32(Next, Msg[J & 3]);
-      }
-      St0 = _mm_sha256rnds2_epu32(St0, St1, _mm_shuffle_epi32(Wk, 0x0E));
-      if (J >= 1 && J < 13)
-        Msg[(J + 3) & 3] = _mm_sha256msg1_epu32(Msg[(J + 3) & 3], Msg[J & 3]);
-    }
-    St0 = _mm_add_epi32(St0, Abef);
-    St1 = _mm_add_epi32(St1, Cdgh);
-  }
-
-  Tmp = _mm_shuffle_epi32(St0, 0x1B);    // F E B A
-  St1 = _mm_shuffle_epi32(St1, 0xB1);    // D C H G
-  St0 = _mm_blend_epi16(Tmp, St1, 0xF0); // D C B A
-  St1 = _mm_alignr_epi8(St1, Tmp, 8);    // H G F E
-  _mm_storeu_si128(reinterpret_cast<__m128i *>(State), St0);
-  _mm_storeu_si128(reinterpret_cast<__m128i *>(State + 4), St1);
-}
-
-#else
-
-bool detail::hasShaNi() { return false; }
-
-void detail::compressShaNi(uint32_t State[8], const uint8_t *Blocks,
-                           size_t NumBlocks) {
-  compressPortable(State, Blocks, NumBlocks); // never selected here
-}
-
-#endif
 
 Sha256::Sha256() {
   State[0] = 0x6a09e667;
@@ -173,9 +37,47 @@ Sha256::Sha256() {
   State[7] = 0x5be0cd19;
 }
 
+void Sha256::compress(const uint8_t *Block) {
+  uint32_t W[64];
+  for (int I = 0; I < 16; ++I)
+    W[I] = (uint32_t(Block[4 * I]) << 24) | (uint32_t(Block[4 * I + 1]) << 16) |
+           (uint32_t(Block[4 * I + 2]) << 8) | uint32_t(Block[4 * I + 3]);
+  for (int I = 16; I < 64; ++I) {
+    uint32_t S0 = rotr(W[I - 15], 7) ^ rotr(W[I - 15], 18) ^ (W[I - 15] >> 3);
+    uint32_t S1 = rotr(W[I - 2], 17) ^ rotr(W[I - 2], 19) ^ (W[I - 2] >> 10);
+    W[I] = W[I - 16] + S0 + W[I - 7] + S1;
+  }
+
+  uint32_t A = State[0], B = State[1], C = State[2], D = State[3];
+  uint32_t E = State[4], Fv = State[5], G = State[6], H = State[7];
+  for (int I = 0; I < 64; ++I) {
+    uint32_t S1 = rotr(E, 6) ^ rotr(E, 11) ^ rotr(E, 25);
+    uint32_t Ch = (E & Fv) ^ (~E & G);
+    uint32_t T1 = H + S1 + Ch + K[I] + W[I];
+    uint32_t S0 = rotr(A, 2) ^ rotr(A, 13) ^ rotr(A, 22);
+    uint32_t Maj = (A & B) ^ (A & C) ^ (B & C);
+    uint32_t T2 = S0 + Maj;
+    H = G;
+    G = Fv;
+    Fv = E;
+    E = D + T1;
+    D = C;
+    C = B;
+    B = A;
+    A = T1 + T2;
+  }
+  State[0] += A;
+  State[1] += B;
+  State[2] += C;
+  State[3] += D;
+  State[4] += E;
+  State[5] += Fv;
+  State[6] += G;
+  State[7] += H;
+}
+
 void Sha256::update(const void *Data, size_t Len) {
   const uint8_t *P = static_cast<const uint8_t *>(Data);
-  const CompressFn Compress = compressFn();
   TotalLen += Len;
   if (BufLen) {
     size_t Take = std::min(Len, sizeof(Buf) - BufLen);
@@ -184,14 +86,14 @@ void Sha256::update(const void *Data, size_t Len) {
     P += Take;
     Len -= Take;
     if (BufLen == sizeof(Buf)) {
-      Compress(State, Buf, 1);
+      compress(Buf);
       BufLen = 0;
     }
   }
-  if (size_t Blocks = Len / sizeof(Buf)) {
-    Compress(State, P, Blocks);
-    P += Blocks * sizeof(Buf);
-    Len -= Blocks * sizeof(Buf);
+  while (Len >= sizeof(Buf)) {
+    compress(P);
+    P += sizeof(Buf);
+    Len -= sizeof(Buf);
   }
   if (Len) {
     std::memcpy(Buf, P, Len);

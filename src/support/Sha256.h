@@ -2,22 +2,12 @@
 ///
 /// \file
 /// Minimal SHA-256 (FIPS 180-4), implemented locally so the build stays
-/// free of external crypto dependencies. Two uses, with different
-/// stakes:
-///
-///  * content-addressing the serialized policy tables (regex/TableIO.h):
-///    an integrity check for drift detection — the tables are
-///    re-derivable from the grammars at any time;
-///  * keying the incremental verifier's chunk cache (incr/ChunkCache.h):
-///    here a collision would let one chunk's cached scan stand in for
-///    different bytes, so that cache's soundness rests on SHA-256's
-///    collision resistance.
-///
-/// On x86 CPUs with the SHA extensions the block compress runs on the
-/// `sha256rnds2`/`sha256msg` instructions; CPUID picks it once per
-/// process, and the portable compress is the path everywhere else. Both
-/// compute the same function, so the digest never depends on the CPU
-/// (policy_table_format_test certifies the two against each other).
+/// free of external crypto dependencies. One use: content-addressing the
+/// serialized policy tables (regex/TableIO.h), hashed once per ISA when
+/// its tables register and checked when a blob loads. That is an
+/// integrity check for drift detection, not a security boundary: the
+/// tables are re-derivable from the grammars at any time, and no
+/// verdict rests on the hash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,27 +42,13 @@ public:
   static std::string hex(const std::array<uint8_t, 32> &Digest);
 
 private:
+  void compress(const uint8_t *Block);
+
   uint32_t State[8];
   uint64_t TotalLen = 0;
   uint8_t Buf[64];
   size_t BufLen = 0;
 };
-
-namespace detail {
-
-/// The block compress: folds \p NumBlocks consecutive 64-byte blocks
-/// into \p State. The portable form runs anywhere; the SHA-NI form only
-/// where `hasShaNi()` holds. Exposed for the certification test, which
-/// runs both on the same inputs.
-void compressPortable(uint32_t State[8], const uint8_t *Blocks,
-                      size_t NumBlocks);
-void compressShaNi(uint32_t State[8], const uint8_t *Blocks,
-                   size_t NumBlocks);
-
-/// True when the CPU has the SHA extensions and SSE4.1 (checked once).
-bool hasShaNi();
-
-} // namespace detail
 
 } // namespace support
 } // namespace rocksalt

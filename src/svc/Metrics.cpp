@@ -150,17 +150,6 @@ std::string Metrics::exposition() const {
   dumpScalar(Out, "svc_accept_backoffs", SvcAcceptBackoffs.get());
   dumpScalar(Out, "svc_backpressure_pauses", SvcBackpressurePauses.get());
   dumpScalar(Out, "svc_peer_drops", SvcPeerDrops.get());
-  dumpScalar(Out, "incr_chunk_hits", IncrChunkHits.get());
-  dumpScalar(Out, "incr_chunk_misses", IncrChunkMisses.get());
-  dumpScalar(Out, "incr_chunk_evictions", IncrChunkEvictions.get());
-  dumpScalar(Out, "incr_chunk_entries",
-             static_cast<uint64_t>(IncrChunkEntries.get() < 0
-                                       ? 0
-                                       : IncrChunkEntries.get()));
-  dumpScalar(Out, "incr_chunk_resident_bytes",
-             static_cast<uint64_t>(IncrChunkResidentBytes.get() < 0
-                                       ? 0
-                                       : IncrChunkResidentBytes.get()));
   dumpScalar(Out, "svc_image_open_requests", SvcImageOpenRequests.get());
   dumpScalar(Out, "svc_patch_requests", SvcPatchRequests.get());
   dumpScalar(Out, "svc_image_close_requests", SvcImageCloseRequests.get());
@@ -216,9 +205,6 @@ void Metrics::reset() {
   SvcAcceptBackoffs.reset();
   SvcBackpressurePauses.reset();
   SvcPeerDrops.reset();
-  IncrChunkHits.reset();
-  IncrChunkMisses.reset();
-  IncrChunkEvictions.reset();
   SvcImageOpenRequests.reset();
   SvcPatchRequests.reset();
   SvcImageCloseRequests.reset();

@@ -100,7 +100,7 @@ struct Metrics {
   Counter BytesVerified;
 
   // Incremental re-verify internals (incr/IncrementalVerifier).
-  Counter ShardsScanned;    ///< chunks re-scanned (cache misses)
+  Counter ShardsScanned;    ///< dirty chunks rescanned (every dirty chunk)
   Counter SeamRescans;      ///< seam verifySteps of full merges (rejects)
 
   // Pool internals.
@@ -146,14 +146,6 @@ struct Metrics {
   Counter SvcPeerDrops;          ///< sessions dropped on EPIPE/ECONNRESET
 
   // Incremental re-verification (src/incr + the service's patch path).
-  Counter IncrChunkHits;      ///< chunk-cache lookups satisfied
-  Counter IncrChunkMisses;    ///< chunk-cache lookups that re-scanned
-  Counter IncrChunkEvictions; ///< LRU evictions from the chunk cache
-  /// Live chunk-cache size, summed over every cache reporting here (one
-  /// per session). Mirrors caches that are still alive, so reset()
-  /// leaves both alone.
-  Gauge IncrChunkEntries;       ///< cached chunk scans
-  Gauge IncrChunkResidentBytes; ///< bytes the caches allocate for them
   Counter SvcImageOpenRequests;  ///< image-open request frames handled
   Counter SvcPatchRequests;      ///< patch request frames handled
   Counter SvcImageCloseRequests; ///< image-close request frames handled
@@ -174,8 +166,7 @@ struct Metrics {
   /// Back-compat alias for exposition() (--stats, benches, tests).
   std::string dump() const { return exposition(); }
 
-  /// Zeroes everything but the live chunk-cache gauges (tests and benches
-  /// between phases).
+  /// Zeroes everything (tests and benches between phases).
   void reset();
 };
 

@@ -42,8 +42,9 @@
 ///   Shutdown   — empty
 ///   ImageOpen  — u32 image handle (nonzero), u8 ok + u8 reject reason
 ///   Patch      — u8 ok + u8 reject reason, u32 chunks re-scanned,
-///                u32 chunk-cache hits (the re-verified verdict after
-///                the patch, bit-identical to a full re-check)
+///                u32 chunk-cache hits (always 0) (the re-verified
+///                verdict after the patch, bit-identical to a full
+///                re-check)
 ///   ImageClose — empty
 ///   Metrics    — u32 text length + the one-metric-per-line exposition
 ///                (svc/Metrics.h, Metrics::exposition())
@@ -234,6 +235,8 @@ struct PatchRequestBody {
 struct PatchReply {
   VerifyVerdict V;
   uint32_t ChunksRescanned = 0;
+  /// Always 0: every dirty chunk is rescanned. The u32 slot stays on
+  /// the wire so version-1 clients decode the reply unchanged.
   uint32_t ChunkCacheHits = 0;
   bool HasLint = false;
   LintReport Lint;

@@ -186,7 +186,6 @@ proto::PatchReply Service::patch(Session &Sess, uint32_t Image,
   proto::PatchReply P;
   P.V = {R.Ok, R.Reason};
   P.ChunksRescanned = R.ChunksRescanned;
-  P.ChunkCacheHits = R.ChunkCacheHits;
   if (WantLint) {
     const incr::ImageEntry *E = Sess.incremental().store().get(Image);
     analysis::IncrementalLinter &L = Sess.linter();

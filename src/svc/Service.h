@@ -8,10 +8,10 @@
 /// the framed protocol (svc/Protocol.h) instead of paying per-process
 /// startup. Seven request kinds:
 ///
-///  * verify — batch verification on the VerifierPool; each image's
-///    buffer is *owned* by the submitted task (submitOne's owned-buffer
-///    overload), so the session's receive buffers can be reused or
-///    freed the moment the request is decoded;
+///  * verify — batch verification fanned out on the VerifierPool; the
+///    tasks borrow the decoded request's image buffers, and the frame
+///    joins them with `wait` before it replies, so the buffers outlive
+///    every task;
 ///  * lint   — per-image CFG recovery + diagnostics (analysis/CfgLint),
 ///    fanned out on the pool, counted in the Metrics lint_* family;
 ///  * audit  — the policy meta-verifier (analysis/PolicyAudit) run

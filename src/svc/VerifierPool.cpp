@@ -194,48 +194,17 @@ VerifierPool::submit(const std::vector<std::vector<uint8_t>> &Images) {
   return Futures;
 }
 
-std::vector<std::future<core::CheckResult>>
-VerifierPool::submitOwned(std::vector<std::vector<uint8_t>> Images) {
-  Met->BatchImages.record(Images.size());
-  std::vector<std::future<core::CheckResult>> Futures;
-  Futures.reserve(Images.size());
-  for (std::vector<uint8_t> &Img : Images)
-    Futures.push_back(submitOne(std::move(Img)));
-  return Futures;
-}
-
 std::future<core::CheckResult> VerifierPool::submitOne(const uint8_t *Code,
                                                        uint32_t Size) {
-  return submitImpl(nullptr, Code, Size);
-}
-
-std::future<core::CheckResult>
-VerifierPool::submitOne(std::vector<uint8_t> Image) {
-  return submitOne(
-      std::make_shared<const std::vector<uint8_t>>(std::move(Image)));
-}
-
-std::future<core::CheckResult>
-VerifierPool::submitOne(std::shared_ptr<const std::vector<uint8_t>> Image) {
-  const uint8_t *Code = Image->data();
-  uint32_t Size = uint32_t(Image->size());
-  return submitImpl(std::move(Image), Code, Size);
-}
-
-std::future<core::CheckResult>
-VerifierPool::submitImpl(std::shared_ptr<const std::vector<uint8_t>> Owner,
-                         const uint8_t *Code, uint32_t Size) {
   Met->ImagesSubmitted.add();
   auto Promise = std::make_shared<std::promise<core::CheckResult>>();
   std::future<core::CheckResult> F = Promise->get_future();
   const core::FusedPolicy *T = &Fused;
   Metrics *M = Met;
   Task Job;
-  // Owner (when non-null) pins the payload until the task has run: the
-  // capture is the whole lifetime guarantee of the owned path. On the
-  // borrow path Owner is null and the caller's contract (see header)
-  // keeps [Code, Code+Size) alive instead.
-  Job.Work = [Owner = std::move(Owner), Promise, Code, Size, T, M] {
+  // The caller's borrow contract (see header) keeps [Code, Code+Size)
+  // alive until the task has run.
+  Job.Work = [Promise, Code, Size, T, M] {
     uint64_t T0 = nowNanos();
     core::RockSalt V(*T);
     core::CheckResult R = V.check(Code, Size);

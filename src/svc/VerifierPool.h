@@ -86,30 +86,13 @@ public:
   ///
   /// Borrow contract: every image buffer must stay alive and unmodified
   /// until its future resolves — the futures borrow, they do not copy.
-  /// Callers whose buffers may die first (session receive buffers,
-  /// arena-backed decoders) must use submitOwned instead.
   std::vector<std::future<core::CheckResult>>
   submit(const std::vector<std::vector<uint8_t>> &Images);
 
-  /// Batch verification taking ownership: each image moves into its
-  /// pool task, which keeps it alive until the future resolves. The
-  /// service's request path uses this — its receive buffers are reused
-  /// as soon as a request is decoded.
-  std::vector<std::future<core::CheckResult>>
-  submitOwned(std::vector<std::vector<uint8_t>> Images);
-
-  /// Single-image borrow path. Borrow contract as for submit():
+  /// Single-image form. Borrow contract as for submit():
   /// [Code, Code+Size) must outlive the future's resolution; the task
   /// reads the buffer on a worker thread at an arbitrary later time.
   std::future<core::CheckResult> submitOne(const uint8_t *Code, uint32_t Size);
-
-  /// Single-image owned path: the task owns the buffer.
-  std::future<core::CheckResult> submitOne(std::vector<uint8_t> Image);
-
-  /// Single-image shared-ownership path: the task holds a reference
-  /// until it resolves; callers can keep sharing the same payload.
-  std::future<core::CheckResult>
-  submitOne(std::shared_ptr<const std::vector<uint8_t>> Image);
 
 private:
   struct Task {
@@ -126,11 +109,6 @@ private:
   bool tryGet(unsigned Self, Task &Out); ///< Self == threadCount(): outsider
   void runTask(Task &T);
   void workerLoop(unsigned Id);
-  /// Shared verify-job body: when \p Owner is non-null the task keeps
-  /// the payload alive; when null, [Code, Code+Size) is borrowed.
-  std::future<core::CheckResult>
-  submitImpl(std::shared_ptr<const std::vector<uint8_t>> Owner,
-             const uint8_t *Code, uint32_t Size);
 
   std::vector<std::unique_ptr<Worker>> Deques;
   std::vector<std::thread> Threads;

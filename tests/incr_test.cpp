@@ -2,17 +2,17 @@
 //
 // The incremental re-verification subsystem: every verdict an
 // IncrementalVerifier produces — after open, after any sequence of
-// patches (one or several per reverify), across chunk geometries,
-// cache pressure, and accept/reject flips — must be bit-identical to a
-// full RockSalt::check of the image's current bytes (verdict, reject
-// reason, and all three bitmaps). Plus the ChunkCache's LRU, counter
-// and gauge contract, the scan-read bound's sanity, and the loud
-// failure of every invalid request.
+// patches (one or several per reverify), across chunk geometries and
+// accept/reject flips — must be bit-identical to a full RockSalt::check
+// of the image's current bytes (verdict, reject reason, and all three
+// bitmaps). Plus the scan-read bound's pinned values, the dirty rule's
+// overhang, and the loud failure of every invalid request.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Verifier.h"
 #include "incr/IncrementalVerifier.h"
+#include "mips/MipsPolicy.h"
 #include "nacl/WorkloadGen.h"
 #include "support/Oracle.h"
 
@@ -48,162 +48,40 @@ std::vector<uint8_t> workload(uint32_t Bytes, uint64_t Seed) {
   return nacl::generateWorkload(WO);
 }
 
-// --- Scan-read bound and cache keys ------------------------------------
+// --- Scan-read bound ---------------------------------------------------
 
 TEST(IncrTest, MaxScanReadBytesIsSane) {
   uint32_t MaxRead = incr::maxScanReadBytes(core::policyTables());
-  // Multi-byte instructions exist, and no policy instruction is longer
-  // than a bundle — the dirty-chunk arithmetic and the chunk-skip
-  // argument both lean on MaxRead < ChunkBytes (>= BundleSize).
-  EXPECT_GE(MaxRead, 2u);
+  // No policy instruction is longer than a bundle: the shard bitmap's
+  // one slack word past a chunk's end leans on it (core/Shard.h).
   EXPECT_LE(MaxRead, core::BundleSize);
+  // The pinned bounds: minimization does not change what a match can
+  // read, and MIPS reads two 4-byte words at most (a masked pair).
+  EXPECT_EQ(MaxRead, 12u);
+  EXPECT_EQ(incr::maxScanReadBytes(core::buildPolicyTablesRaw()), 12u);
+  EXPECT_EQ(incr::maxScanReadBytes(mips::buildMipsPolicyTables()), 8u);
 }
 
-TEST(IncrTest, ChunkKeyCoversGeometryAndContent) {
-  std::vector<uint8_t> A(256, 0x90);
-  uint32_t MR = 8;
-  incr::ChunkKey K = incr::chunkKey(A.data(), 256, 0, 64, MR);
-  // Same window bytes at a different absolute position: different key
-  // (positions and jump targets are absolute).
-  EXPECT_NE(K, incr::chunkKey(A.data(), 256, 64, 128, MR));
-  // Same geometry, different image size: different key (dfaMatch
-  // exhaustion and the target range check read the size).
-  EXPECT_NE(K, incr::chunkKey(A.data(), 128, 0, 64, MR));
-  // A byte outside the scan window [Begin, End-1+MaxRead): same key.
-  std::vector<uint8_t> B = A;
-  B[64 + MR - 1] = 0xC3;
-  EXPECT_EQ(K, incr::chunkKey(B.data(), 256, 0, 64, MR));
-  // A byte inside the window overhang: different key.
-  std::vector<uint8_t> C = A;
-  C[64 + MR - 2] = 0xC3;
-  EXPECT_NE(K, incr::chunkKey(C.data(), 256, 0, 64, MR));
-}
-
-// --- ChunkCache contract ------------------------------------------------
-
-std::shared_ptr<const core::ShardScan> dummyScan(uint32_t Begin) {
-  auto S = std::make_shared<core::ShardScan>();
-  S->reset(Begin, Begin + 32);
-  return S;
-}
-
-incr::ChunkKey keyOf(uint8_t Tag) {
-  incr::ChunkKey K{};
-  K[0] = Tag;
-  return K;
-}
-
-TEST(IncrTest, ChunkCacheLruEvictionAndCounters) {
-  svc::Metrics M;
-  incr::ChunkCacheOptions O;
-  O.MaxEntries = 2;
-  incr::ChunkCache C(O, &M);
-
-  EXPECT_EQ(C.lookup(keyOf(1)), nullptr); // miss
-  C.insert(keyOf(1), dummyScan(0));
-  // The live gauges follow every insert. The counted bytes cover at
-  // least the scan with its start bitmap (two words for a 32-byte
-  // chunk) and its shared_ptr control block, plus the key and the
-  // shared_ptr in the cache's own node.
-  EXPECT_EQ(M.IncrChunkEntries.get(), 1);
-  EXPECT_EQ(M.IncrChunkResidentBytes.get(), int64_t(C.residentBytes()));
-  EXPECT_GE(C.residentBytes(),
-            sizeof(core::ShardScan) + 2 * sizeof(uint64_t) +
-                2 * sizeof(void *) + sizeof(incr::ChunkKey) +
-                sizeof(std::shared_ptr<const core::ShardScan>));
-  C.insert(keyOf(2), dummyScan(32));
-  EXPECT_NE(C.lookup(keyOf(1)), nullptr); // hit; 1 now most recent
-  C.insert(keyOf(3), dummyScan(64));      // evicts 2 (LRU), not 1
-  EXPECT_EQ(C.size(), 2u);
-  EXPECT_NE(C.lookup(keyOf(1)), nullptr);
-  EXPECT_EQ(C.lookup(keyOf(2)), nullptr);
-  EXPECT_NE(C.lookup(keyOf(3)), nullptr);
-
-  EXPECT_EQ(C.hits(), 3u);
-  EXPECT_EQ(C.misses(), 2u);
-  EXPECT_EQ(C.evictions(), 1u);
-  // Mirrored into the service metrics.
-  EXPECT_EQ(M.IncrChunkHits.get(), 3u);
-  EXPECT_EQ(M.IncrChunkMisses.get(), 2u);
-  EXPECT_EQ(M.IncrChunkEvictions.get(), 1u);
-  EXPECT_EQ(M.IncrChunkEntries.get(), 2);
-  EXPECT_EQ(M.IncrChunkResidentBytes.get(), int64_t(C.residentBytes()));
-  EXPECT_NE(M.exposition().find("incr_chunk_entries 2\n"), std::string::npos);
-  EXPECT_NE(M.exposition().find("incr_chunk_resident_bytes " +
-                                std::to_string(C.residentBytes()) + "\n"),
-            std::string::npos);
-  M.reset(); // the gauges mirror a live cache: reset leaves them
-  EXPECT_EQ(M.IncrChunkEntries.get(), 2);
-  EXPECT_EQ(M.IncrChunkHits.get(), 0u);
-
-  {
-    // Gauges sum over every cache sharing the metrics (one per session)
-    // and a destroyed cache takes its share out.
-    incr::ChunkCache Other(O, &M);
-    Other.insert(keyOf(9), dummyScan(0));
-    EXPECT_EQ(M.IncrChunkEntries.get(), 3);
-    EXPECT_EQ(M.IncrChunkResidentBytes.get(),
-              int64_t(C.residentBytes() + Other.residentBytes()));
-  }
-  EXPECT_EQ(M.IncrChunkEntries.get(), 2);
-  EXPECT_EQ(M.IncrChunkResidentBytes.get(), int64_t(C.residentBytes()));
-
-  C.clear();
-  EXPECT_EQ(C.size(), 0u);
-  EXPECT_EQ(C.hits(), 3u); // counters keep their totals
-  EXPECT_EQ(C.residentBytes(), 0u);
-  EXPECT_EQ(M.IncrChunkEntries.get(), 0);
-  EXPECT_EQ(M.IncrChunkResidentBytes.get(), 0);
-}
-
-TEST(IncrTest, ChunkCacheLruMatchesModel) {
-  // Random lookups and inserts against a recency-ordered key list: the
-  // cache must hold exactly the model's keys after every operation.
-  svc::Metrics M;
-  incr::ChunkCacheOptions O;
-  O.MaxEntries = 8;
-  incr::ChunkCache C(O, &M);
-  std::vector<uint8_t> Model; // front = most recent
-  auto Touch = [&Model](uint8_t Tag) {
-    Model.erase(std::remove(Model.begin(), Model.end(), Tag), Model.end());
-    Model.insert(Model.begin(), Tag);
-  };
-  Rng R(7);
-  for (int Op = 0; Op < 2000; ++Op) {
-    uint8_t Tag = uint8_t(R.below(20));
-    bool InModel = std::find(Model.begin(), Model.end(), Tag) != Model.end();
-    if (R.flip()) {
-      EXPECT_EQ(C.lookup(keyOf(Tag)) != nullptr, InModel);
-      if (InModel)
-        Touch(Tag);
-    } else {
-      C.insert(keyOf(Tag), dummyScan(32 * Tag));
-      Touch(Tag);
-      if (Model.size() > O.MaxEntries)
-        Model.pop_back();
-    }
-    ASSERT_EQ(C.size(), Model.size());
-    EXPECT_EQ(M.IncrChunkEntries.get(), int64_t(Model.size()));
-  }
-  for (uint8_t Tag : Model) // lookups reorder, but the set is checked
-    EXPECT_NE(C.lookup(keyOf(Tag)), nullptr);
-}
-
-TEST(IncrTest, ChunkCacheByteBudgetEvicts) {
-  svc::Metrics M;
-  incr::ChunkCacheOptions O;
-  O.MaxBytes = 1; // any entry overflows: at most one survives insertion
-  incr::ChunkCache C(O, &M);
-  C.insert(keyOf(1), dummyScan(0));
-  auto Held = C.insert(keyOf(2), dummyScan(32));
-  EXPECT_LE(C.size(), 1u);
-  EXPECT_GE(C.evictions(), 1u);
-  // The evicted entry left the gauges.
-  EXPECT_EQ(M.IncrChunkEntries.get(), int64_t(C.size()));
-  EXPECT_EQ(M.IncrChunkResidentBytes.get(), int64_t(C.residentBytes()));
-  // Shared ownership: the caller's pointer survives eviction.
-  EXPECT_NE(Held, nullptr);
-  EXPECT_EQ(Held->Begin, 32u);
+TEST(IncrTest, MaxScanReadBytesThrowsOnALiveNonAcceptingCycle) {
+  // Start -> 1 on any byte; 1 loops on nop and accepts on anything else.
+  // A run of nops keeps a match alive forever, so no scan window is
+  // finite.
+  re::Dfa Loop;
+  Loop.Start = 0;
+  Loop.Table.resize(3);
+  Loop.Table[0].fill(1);
+  Loop.Table[1].fill(2);
+  Loop.Table[1][0x90] = 1;
+  Loop.Table[2].fill(2);
+  Loop.Accepts = {0, 0, 1};
+  Loop.Rejects = {0, 0, 0};
+  core::PolicyTables T = core::policyTables();
+  T.DirectJump = Loop;
+  EXPECT_THROW(incr::maxScanReadBytes(T), std::logic_error);
+  // The same shape without the loop edge reads two bytes at most.
+  Loop.Table[1][0x90] = 2;
+  T.MaskedJump = T.NoControlFlow = T.DirectJump = Loop;
+  EXPECT_EQ(incr::maxScanReadBytes(T), 2u);
 }
 
 // --- Open/patch equivalence --------------------------------------------
@@ -216,8 +94,7 @@ TEST(IncrTest, OpenMatchesFullCheckOnMixedImages) {
       Img[Img.size() / 3] = 0xC3; // break half of them
     incr::IncrResult R;
     incr::ImageId Id = V.open(Img, &R);
-    EXPECT_EQ(R.ChunksRescanned + R.ChunkCacheHits,
-              V.store().get(Id)->numChunks());
+    EXPECT_EQ(R.ChunksRescanned, V.store().get(Id)->numChunks());
     expectBitIdentical(V, Id, Img, "open");
     // A reverify with no dirty chunks must not change the verdict.
     incr::IncrResult R2 = V.reverify(Id);
@@ -258,7 +135,7 @@ TEST(IncrTest, PatchInFinalPartialChunk) {
   expectBitIdentical(V, Id, Img, "patch at seam");
 }
 
-TEST(IncrTest, AcceptRejectAcceptFlipRehitsCache) {
+TEST(IncrTest, AcceptRejectAcceptFlipRescansTheChunk) {
   std::vector<uint8_t> Img(512, 0x90);
   incr::IncrementalVerifier V;
   incr::ImageId Id = V.open(Img);
@@ -272,12 +149,12 @@ TEST(IncrTest, AcceptRejectAcceptFlipRehitsCache) {
   EXPECT_EQ(R1.Reason, core::RejectReason::NoParse);
   expectBitIdentical(V, Id, Img, "reject flip");
 
-  // Revert: the chunk's original-content scan is still cached.
+  // Revert: the one dirty chunk is rescanned back to the accepted
+  // bitmaps.
   Img[100] = Orig;
   incr::IncrResult R2 = V.patch(Id, 100, &Orig, 1);
   EXPECT_TRUE(R2.Ok);
-  EXPECT_GE(R2.ChunkCacheHits, 1u);
-  EXPECT_EQ(R2.ChunksRescanned, 0u);
+  EXPECT_EQ(R2.ChunksRescanned, 1u);
   expectBitIdentical(V, Id, Img, "revert flip");
 }
 
@@ -345,7 +222,7 @@ TEST(IncrTest, BatchedPatchesThenOneReverify) {
     auto Reverify = [&](const std::string &What, bool Scripted) {
       SCOPED_TRACE(What + ", chunk " + std::to_string(CB));
       incr::IncrResult R = V.reverify(Id);
-      EXPECT_EQ(R.ChunksRescanned + R.ChunkCacheHits, Dirty.size());
+      EXPECT_EQ(R.ChunksRescanned, Dirty.size());
       if (R.Spliced) {
         EXPECT_EQ(R.SeamRescans, 0u); // the splice never steps a seam
       }
@@ -382,7 +259,7 @@ TEST(IncrTest, BatchedPatchesThenOneReverify) {
     NopBundles(3 * CB, 1);
     Reverify("predecessor overhang", true);
 
-    // Random batches of 2-6 patches, rejects and cache hits included.
+    // Random batches of 2-6 patches, rejects and reverts included.
     Rng R(99 + CB);
     for (int Step = 0; Step < 40; ++Step) {
       uint32_t N = uint32_t(R.range(2, 6));
@@ -427,12 +304,12 @@ TEST(IncrTest, ScanOverrunningItsChunkEndLeavesTheRejectToTheFullMerge) {
     EXPECT_GT(R.SeamRescans, 0u); // the full merge re-checked the seam
     expectBitIdentical(V, Id, Img, "overrun");
 
-    // Reverting is a cache hit back to the accepted bitmaps, and the
-    // next accepted patch splices again.
+    // Reverting rescans the one dirty chunk back to the accepted
+    // bitmaps, and the next accepted patch splices again.
     Img[Off] = Nop;
     R = V.patch(Id, Off, &Nop, 1);
     EXPECT_TRUE(R.Ok);
-    EXPECT_EQ(R.ChunksRescanned, 0u);
+    EXPECT_EQ(R.ChunksRescanned, 1u);
     expectBitIdentical(V, Id, Img, "revert");
     R = V.patch(Id, Off, &Nop, 1);
     EXPECT_TRUE(R.Ok);
@@ -441,7 +318,36 @@ TEST(IncrTest, ScanOverrunningItsChunkEndLeavesTheRejectToTheFullMerge) {
   }
 }
 
-TEST(IncrTest, IdenticalChunksShareAcrossImages) {
+TEST(IncrTest, MaskedPairStraddlingAChunkBaseRescansBothChunks) {
+  // Chunk 1 of an accepted nop image ends in `and eax, -32`, a plain
+  // NoControlFlow instruction. Patching chunk 2's first two bytes to
+  // `jmp eax` completes a masked pair that straddles chunk 2's base (a
+  // bundle boundary). Chunk 1's scan read those two bytes through its
+  // window's overhang, so the dirty rule must rescan it too: with only
+  // chunk 2 rescanned, chunk 1's stale scan would end on its chunk's
+  // end and the merge would answer no-parse for a bare `jmp eax`.
+  for (uint32_t CB : {32u, 128u, 512u}) {
+    SCOPED_TRACE("chunk " + std::to_string(CB));
+    std::vector<uint8_t> Img(4 * 512, 0x90);
+    const uint32_t Base = 2 * CB;
+    const uint8_t And[] = {0x83, 0xE0, 0xE0}, Jmp[] = {0xFF, 0xE0};
+    std::copy(And, And + 3, Img.begin() + Base - 3);
+    incr::IncrementalOptions IO;
+    IO.ChunkBytes = CB;
+    incr::IncrementalVerifier V(IO);
+    incr::ImageId Id = V.open(Img);
+    ASSERT_TRUE(V.lastCheck(Id).Ok);
+
+    std::copy(Jmp, Jmp + 2, Img.begin() + Base);
+    incr::IncrResult R = V.patch(Id, Base, Jmp, 2);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Reason, core::RejectReason::UnalignedBundle);
+    EXPECT_EQ(R.ChunksRescanned, 2u);
+    expectBitIdentical(V, Id, Img, "straddling pair");
+  }
+}
+
+TEST(IncrTest, IdenticalImagesOwnTheirScans) {
   std::vector<uint8_t> Img(2048, 0x90);
   incr::IncrementalVerifier V;
   incr::ImageId A = V.open(Img);
@@ -449,10 +355,9 @@ TEST(IncrTest, IdenticalChunksShareAcrossImages) {
   incr::ImageId B = V.open(Img, &R);
   EXPECT_NE(A, B);
   EXPECT_EQ(V.store().count(), 2u);
-  // Every chunk of the second image is already cached (same content,
-  // same geometry), including by the first image's own interior chunks.
-  EXPECT_EQ(R.ChunksRescanned, 0u);
-  EXPECT_EQ(R.ChunkCacheHits, V.store().get(B)->numChunks());
+  // Same content, same geometry: the second image still scans every
+  // chunk itself.
+  EXPECT_EQ(R.ChunksRescanned, V.store().get(B)->numChunks());
 
   V.close(A);
   EXPECT_EQ(V.store().count(), 1u);

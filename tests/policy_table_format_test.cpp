@@ -104,30 +104,6 @@ std::vector<uint8_t> writeV1Blob(const PolicyTables &T) {
 // SHA-256 building block (FIPS 180-4 vectors).
 //===----------------------------------------------------------------------===//
 
-/// A whole digest through one compress function, padding written out
-/// per FIPS 180-4 §5.1.1, so either compress can be run end to end
-/// whatever the CPU picked for `Sha256`.
-std::array<uint8_t, 32>
-digestWith(void (*Compress)(uint32_t *, const uint8_t *, size_t),
-           const void *Data, size_t Len) {
-  uint32_t St[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  Compress(St, P, Len / 64);
-  uint8_t Tail[128] = {};
-  size_t Rest = Len % 64;
-  std::copy(P + Len - Rest, P + Len, Tail);
-  Tail[Rest] = 0x80;
-  size_t TailBytes = Rest < 56 ? 64 : 128;
-  for (int I = 0; I < 8; ++I)
-    Tail[TailBytes - 1 - I] = uint8_t(uint64_t(Len) * 8 >> (8 * I));
-  Compress(St, Tail, TailBytes / 64);
-  std::array<uint8_t, 32> Out;
-  for (int I = 0; I < 32; ++I)
-    Out[I] = uint8_t(St[I / 4] >> (24 - 8 * (I % 4)));
-  return Out;
-}
-
 TEST(Sha256, FipsVectors) {
   const std::string Million(1000000, 'a');
   const std::pair<std::string_view, const char *> Vectors[] = {
@@ -138,48 +114,10 @@ TEST(Sha256, FipsVectors) {
        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
       {Million,
        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"}};
-  for (const auto &[Msg, Want] : Vectors) {
-    // The CPUID-selected path behind Sha256, and the portable compress
-    // on any CPU.
+  for (const auto &[Msg, Want] : Vectors)
     EXPECT_EQ(
         support::Sha256::hex(support::Sha256::hash(Msg.data(), Msg.size())),
         Want);
-    EXPECT_EQ(support::Sha256::hex(digestWith(support::detail::compressPortable,
-                                              Msg.data(), Msg.size())),
-              Want);
-  }
-}
-
-TEST(Sha256, HardwareCompressMatchesPortable) {
-  if (!support::detail::hasShaNi())
-    GTEST_SKIP() << "this CPU lacks the SHA extensions; only the portable "
-                    "compress can run here";
-  std::vector<uint8_t> Data(1024 + 64 * 16 + 1);
-  uint32_t X = 0x12345678;
-  for (uint8_t &B : Data) {
-    X = X * 1103515245u + 12345u;
-    B = uint8_t(X >> 24);
-  }
-  static const size_t Splits[] = {1, 3, 5, 7, 13, 31, 63, 65, 127};
-  for (size_t Len = 0; Len <= 1024; ++Len) {
-    std::array<uint8_t, 32> Ref =
-        digestWith(support::detail::compressPortable, Data.data(), Len);
-    ASSERT_EQ(digestWith(support::detail::compressShaNi, Data.data(), Len), Ref)
-        << "length " << Len;
-    // The streaming class (which runs the hardware compress here) fed
-    // in odd-sized pieces, so blocks straddle update calls.
-    support::Sha256 S;
-    for (size_t Off = 0, I = Len; Off < Len; Off += Splits[I++ % 9])
-      S.update(Data.data() + Off, std::min(Splits[I % 9], Len - Off));
-    ASSERT_EQ(S.digest(), Ref) << "length " << Len << ", streamed";
-  }
-  // Sixteen blocks in one call from a mid-stream state, unaligned input.
-  uint32_t A[8], B[8];
-  for (int I = 0; I < 8; ++I)
-    A[I] = B[I] = 0x9e3779b9u * uint32_t(I + 1);
-  support::detail::compressPortable(A, Data.data() + 1, 16);
-  support::detail::compressShaNi(B, Data.data() + 1, 16);
-  EXPECT_TRUE(std::equal(A, A + 8, B));
 }
 
 TEST(Sha256, StreamingMatchesOneShot) {

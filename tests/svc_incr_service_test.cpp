@@ -208,7 +208,7 @@ TEST(SvcIncrTest, SessionOpenPatchCloseMatchesFullCheck) {
   EXPECT_EQ(M.SvcPatchRequests.get(), 8u);
   EXPECT_EQ(M.SvcImageCloseRequests.get(), 1u);
   EXPECT_EQ(M.SvcPatchNanos.count(), 8u);
-  EXPECT_GT(M.IncrChunkMisses.get(), 0u);
+  EXPECT_GT(M.ShardsScanned.get(), 0u);
 }
 
 TEST(SvcIncrTest, PatchWithWantLintCarriesFreshIdenticalReport) {

@@ -126,88 +126,6 @@ TEST(VerifierPoolTest, BatchSubmitMatchesSequentialVerdicts) {
   EXPECT_GT(Rejected, 0u); // the attacked images really exercised rejects
 }
 
-// Regression for the submitOne lifetime bug: the raw-pointer overload
-// captured Code into the deferred task, so a caller whose buffer died
-// before the worker ran handed the verifier freed memory. The owned
-// overloads pin the payload inside the task; this test frees every
-// source buffer before forcing the futures — under ASan the old code
-// is a guaranteed heap-use-after-free.
-TEST(VerifierPoolTest, SubmitOneOwnedOutlivesCallerBuffer) {
-  svc::Metrics M;
-  svc::VerifierPool Pool(svc::VerifierPool::Options{2}, &M);
-  nacl::WorkloadOptions WO;
-  WO.TargetBytes = 2048;
-  core::RockSalt Seq;
-  core::CheckResult Expect = Seq.check(nacl::generateWorkload(WO));
-
-  std::vector<std::future<core::CheckResult>> Futures;
-  for (int I = 0; I < 32; ++I) {
-    std::vector<uint8_t> Img = nacl::generateWorkload(WO);
-    Futures.push_back(Pool.submitOne(std::move(Img)));
-    // Img is moved-from here and destroyed at scope end, before get().
-  }
-  for (auto &F : Futures) {
-    core::CheckResult R = F.get();
-    EXPECT_EQ(R.Ok, Expect.Ok);
-    EXPECT_EQ(R.Reason, Expect.Reason);
-  }
-}
-
-TEST(VerifierPoolTest, SubmitOneSharedPtrKeepsPayloadAlive) {
-  svc::Metrics M;
-  svc::VerifierPool Pool(svc::VerifierPool::Options{2}, &M);
-  nacl::WorkloadOptions WO;
-  WO.TargetBytes = 1024;
-  core::RockSalt Seq;
-
-  std::future<core::CheckResult> F;
-  core::CheckResult Expect;
-  {
-    auto Img = std::make_shared<const std::vector<uint8_t>>(
-        nacl::generateWorkload(WO));
-    Expect = Seq.check(*Img);
-    F = Pool.submitOne(Img);
-    // The caller's reference drops here; the task's copy must keep the
-    // image alive until the verdict resolves.
-  }
-  core::CheckResult R = F.get();
-  EXPECT_EQ(R.Ok, Expect.Ok);
-  EXPECT_EQ(R.Reason, Expect.Reason);
-}
-
-TEST(VerifierPoolTest, SubmitOwnedBatchOutlivesCallerBuffers) {
-  svc::Metrics M;
-  svc::VerifierPool Pool(svc::VerifierPool::Options{4}, &M);
-  core::RockSalt Seq;
-  Rng R(5);
-
-  std::vector<core::CheckResult> Expect;
-  std::vector<std::future<core::CheckResult>> Futures;
-  {
-    std::vector<std::vector<uint8_t>> Images;
-    for (uint32_t I = 0; I < 24; ++I) {
-      nacl::WorkloadOptions WO;
-      WO.TargetBytes = 512;
-      WO.Seed = 7000 + I;
-      std::vector<uint8_t> Img = nacl::generateWorkload(WO);
-      if (I & 1)
-        Img = nacl::mutateRandom(Img, R);
-      Expect.push_back(Seq.check(Img));
-      Images.push_back(std::move(Img));
-    }
-    Futures = Pool.submitOwned(std::move(Images));
-    // Images (the caller's handle) is destroyed here — the exact shape
-    // of a service session whose socket buffer dies per-request.
-  }
-  ASSERT_EQ(Futures.size(), Expect.size());
-  for (size_t I = 0; I < Futures.size(); ++I) {
-    core::CheckResult Got = Futures[I].get();
-    EXPECT_EQ(Got.Ok, Expect[I].Ok) << "image " << I;
-    EXPECT_EQ(Got.Reason, Expect[I].Reason) << "image " << I;
-  }
-  EXPECT_EQ(M.ImagesVerified.get(), Expect.size());
-}
-
 // Regression for the external-waiter spin: a non-worker thread in
 // wait() used to busy-yield until the group drained. It now blocks on
 // the completion cv; this test drives many group joins from external
