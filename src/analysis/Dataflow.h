@@ -251,10 +251,13 @@ RecoveredCfg cfgFromCheck(const uint8_t *Code, uint32_t Size,
 /// \p M->AnalysisDataflowNanos when \p M is non-null.
 CfgLintResult lintCfg(RecoveredCfg &&Cfg, uint32_t Size, svc::Metrics *M);
 
-/// Whole-image lint derived from the shard scan/merge of core/Shard
-/// (\p NumShards fresh shard scans, seam-aware join), then
-/// the shared back half. Bit-identical to `lintImage` over the tables
-/// \p P was fused from, on every input.
+/// Whole-image lint derived from the shard scan/join of core/Shard
+/// (\p NumShards fresh shard scans, concatenated when in sync and
+/// checked whole otherwise), then `cfgFromCheck` and the shared back
+/// half. Bit-identical to `lintImage` over the tables \p P was fused
+/// from, on every input. No production path calls it: it is the
+/// `lint_differential` gate's leg that carries `cfgFromCheck`, the
+/// independent CFG re-derivation held against `recoverCfg`.
 CfgLintResult lintImageFromShards(const core::FusedPolicy &P,
                                   const uint8_t *Code, uint32_t Size,
                                   uint32_t NumShards,

@@ -14,8 +14,8 @@
 ///    masked-pair jump halves and direct-jump targets. The verdict sink
 ///    (core/Verifier.cpp: a Valid bitmap plus a sparse target list),
 ///    `BitmapSink` below (the full CheckResult) and the shard sink
-///    (core/Shard.cpp: sparse start lists over one shard) are the three
-///    in use.
+///    (core/Shard.cpp: a start bitmap and sparse target and pair-jump
+///    lists over one shard) are the three in use.
 ///
 /// Two walks live here. `referenceStep` / `referenceCheck` are the
 /// paper's literal Figure 6 — three `dfaMatch` calls per chain position
@@ -29,7 +29,6 @@
 ///
 /// A sink provides:
 ///
-///   static constexpr bool TrackFailStart; // sweep fails report the start
 ///   void mark(uint32_t Q, uint8_t IsStart); // every byte the sweep eats
 ///   void start(uint32_t Q);                 // a full chain step's start
 ///   void pairJump(uint32_t Q);              // a masked pair's jump half
@@ -167,11 +166,10 @@ StepKind chainStep(const FusedPolicy &P, const uint8_t *Code, uint32_t *Pos,
 /// Runs the chain from *Pos while the position is below \p Limit
 /// (<= \p Size); the last instruction may run past Limit, and no byte
 /// at or past Size is read. Returns true when the chain reached a
-/// position >= Limit (left in *Pos), false on a chain fail — *Pos is
-/// then the failing instruction's start when Sink::TrackFailStart is
-/// set, unspecified otherwise. Reports every instruction start, pair
-/// jump half and target to \p K exactly as referenceStep would find
-/// them.
+/// position >= Limit (left in *Pos), false on a chain fail (*Pos is
+/// then unspecified; the failing instruction's start is the last start
+/// reported). Reports every instruction start, pair jump half and
+/// target to \p K exactly as referenceStep would find them.
 template <typename Isa, typename Sink>
 bool driveChain(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                 uint32_t Limit, uint32_t *Pos, Sink &K) {
@@ -182,7 +180,7 @@ bool driveChain(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
     // resolve as NoControlFlow, so it records starts and nothing else,
     // and stops at the first start at or past Limit.
     if (P.ExcByte[B0] != 1) {
-      switch (detail::ncfSweep<Sink::TrackFailStart>(
+      switch (detail::ncfSweep(
           P, Code, Size, Limit, &Q,
           [&K](uint32_t At, uint8_t IsStart) { K.mark(At, IsStart); })) {
       case detail::SweepStop::ExcStart:
@@ -219,9 +217,8 @@ bool driveChain(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
 }
 
 /// The part of the whole-image sinks that records starts into a Valid
-/// bitmap. Whole-image callers need only the verdict on a fail.
+/// bitmap.
 struct ValidBitmapSink {
-  static constexpr bool TrackFailStart = false;
   uint8_t *Valid;
 
   void mark(uint32_t Q, uint8_t IsStart) { Valid[Q] = IsStart; }

@@ -41,11 +41,10 @@ enum class SweepStop {
 /// chain fail. Instructions may straddle \p Limit; the sweep only
 /// *stops* at starts, mirroring the Figure-5 loop's `Pos < Limit`
 /// condition. On ExcStart/Bound, *Pos is the stopping start; on
-/// CleanEnd, *Pos == Size. On Fail, *Pos is the failing instruction's
-/// start when \p TrackFailStart is set (the shard sink records it as
-/// StopPos, pinned against the reference walk), untouched otherwise
-/// (the whole-image sinks only need the verdict).
-template <bool TrackFailStart, typename MarkFn>
+/// CleanEnd, *Pos == Size; on Fail it is unspecified: every caller
+/// needs only the verdict, and the failing instruction's start is the
+/// last one marked.
+template <typename MarkFn>
 SweepStop ncfSweep(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                    uint32_t Limit, uint32_t *Pos, MarkFn Mark) {
   const re::FusedTables &F = P.F;
@@ -56,7 +55,6 @@ SweepStop ncfSweep(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
   uint32_t S = F.Starts[FusedNoControlFlow];
   uint32_t Q = *Pos;
   uint8_t IsStart = 1;
-  uint32_t LastStart = Q;
 
   while (Q < Size) {
     uint8_t B = Code[Q];
@@ -75,27 +73,18 @@ SweepStop ncfSweep(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
       *Pos = Q;
       return Q >= Limit ? SweepStop::Bound : SweepStop::ExcStart;
     }
-    if constexpr (TrackFailStart)
-      LastStart ^= (LastStart ^ Q) & (0u - uint32_t(IsStart));
     Mark(Q, IsStart);
     // Accept rows are restart rows, so this one load advances THROUGH
     // instruction boundaries; the accept test only feeds the off-chain
     // IsStart flag.
     S = Tr[(S << 8) | B];
-    if (S >= RejectBase) {
-      if constexpr (TrackFailStart)
-        *Pos = LastStart;
+    if (S >= RejectBase)
       return SweepStop::Fail;
-    }
     IsStart = uint8_t(S >= AcceptBase);
     ++Q;
   }
   *Pos = Q;
-  if (IsStart)
-    return SweepStop::CleanEnd;
-  if constexpr (TrackFailStart)
-    *Pos = LastStart;
-  return SweepStop::Fail;
+  return IsStart ? SweepStop::CleanEnd : SweepStop::Fail;
 }
 
 } // namespace detail

@@ -1,10 +1,10 @@
-//===- core/Shard.cpp - Shard scan and seam-aware merge -------------------===//
+//===- core/Shard.cpp - Shard scan and concatenating join -----------------===//
 //
 // The per-shard scan is the verify driver (core/ChainDriver.h) started
-// at a bundle boundary with the shard sink; the merge replays the
-// shards in chain order and re-checks seams the chain crossed
-// mid-instruction. See Shard.h for why this is bit-identical to the
-// sequential checker.
+// at a bundle boundary with the shard sink; the merge concatenates
+// scans that are in sync at every shard base and hands every other
+// shard list to the whole-image check. See Shard.h for why this is
+// bit-identical to the sequential checker.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@ namespace {
 /// both lanes (the sweep's mid-instruction marks OR a zero);
 /// targets and pair jumps are sparse and appended.
 struct ShardSink {
-  static constexpr bool TrackFailStart = true;
   uint64_t *Words;
   uint32_t Base;
   ShardScan &S;
@@ -46,9 +45,8 @@ void core::scanShard(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
   S.Failed = !driveChain<X86Isa>(P, Code, Size, S.End, &Pos, K);
   S.StopPos = Pos;
 #if defined(__GNUC__)
-  // Seam prefetch: when the same worker goes on to scan (or the merge
-  // goes on to replay) the adjacent shard, its first line is already
-  // inbound.
+  // Seam prefetch: when the caller goes on to scan the adjacent shard,
+  // its first line is already inbound.
   if (S.End < Size)
     __builtin_prefetch(Code + S.End);
 #endif
@@ -77,72 +75,29 @@ void core::partitionShards(uint32_t Size, uint32_t NumShards,
 
 CheckResult core::mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
                                   uint32_t Size,
-                                  const std::vector<ShardScan> &Shards,
-                                  uint64_t *SeamRescans) {
-  std::vector<const ShardScan *> Ptrs;
-  Ptrs.reserve(Shards.size());
-  for (const ShardScan &S : Shards)
-    Ptrs.push_back(&S);
-  return mergeShardScans(P, Code, Size, Ptrs.data(), Ptrs.size(), SeamRescans);
-}
+                                  const std::vector<ShardScan> &Shards) {
+  // In sync: each scan starts where the chain left the previous one, so
+  // by induction from 0 every scan is a piece of the sequential chain.
+  uint32_t Pos = 0;
+  for (const ShardScan &S : Shards) {
+    if (S.Failed || S.Begin != Pos)
+      return checkImage<X86Isa>(P, Code, Size);
+    Pos = S.StopPos;
+  }
+  if (Pos != Size)
+    return checkImage<X86Isa>(P, Code, Size);
 
-CheckResult core::mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
-                                  uint32_t Size,
-                                  const ShardScan *const *Shards,
-                                  size_t NumShards, uint64_t *SeamRescans) {
   CheckResult R;
   R.Valid.assign(Size, 0);
   R.Target.assign(Size, 0);
   R.PairJmp.assign(Size, 0);
-
-  uint32_t Pos = 0;
-  size_t I = 0;
-  const size_t N = NumShards;
-
-  while (Pos < Size) {
-    if (I < N && Shards[I]->Begin == Pos) {
-      // In sync: this shard's fresh scan is the sequential chain.
-      const ShardScan &S = *Shards[I++];
-      S.forEachStart([&R](uint32_t Q) { R.Valid[Q] = 1; });
-      for (uint32_t Q : S.TargetPos)
-        R.Target[Q] = 1;
-      for (uint32_t Q : S.PairJmpPos)
-        R.PairJmp[Q] = 1;
-      if (S.Failed) {
-        R.Ok = false;
-        R.Reason = RejectReason::NoParse;
-        return R;
-      }
-      Pos = S.StopPos;
-    } else {
-      // Seam re-check: the chain crossed a shard base mid-instruction,
-      // so downstream fresh scans are desynchronized. Step the
-      // sequential chain until it lands exactly on a later shard base.
-      if (SeamRescans)
-        ++*SeamRescans;
-      R.Valid[Pos] = 1;
-      uint32_t Dest = 0;
-      switch (verifyStep(P, Code, &Pos, Size, &Dest)) {
-      case StepKind::MaskedJump:
-        R.PairJmp[Pos - MaskedJumpHalfLen] = 1;
-        break;
-      case StepKind::NoControlFlow:
-        break;
-      case StepKind::DirectJump:
-        R.Target[Dest] = 1;
-        break;
-      case StepKind::Fail:
-        R.Ok = false;
-        R.Reason = RejectReason::NoParse;
-        return R;
-      }
-    }
-    // Shards the chain has overrun contain desynchronized results.
-    while (I < N && Shards[I]->Begin < Pos)
-      ++I;
+  for (const ShardScan &S : Shards) {
+    S.forEachStart([&R](uint32_t Q) { R.Valid[Q] = 1; });
+    for (uint32_t Q : S.TargetPos)
+      R.Target[Q] = 1;
+    for (uint32_t Q : S.PairJmpPos)
+      R.PairJmp[Q] = 1;
   }
-
   finalizeCheck(R);
   return R;
 }
-

@@ -1,4 +1,4 @@
-//===- core/Shard.h - Shard scan and seam-aware merge ----------*- C++ -*-===//
+//===- core/Shard.h - Shard scan and concatenating join --------*- C++ -*-===//
 ///
 /// \file
 /// The incremental verifier's split and join. The aligned-chunk policy
@@ -9,22 +9,25 @@
 /// Each shard is scanned independently (`scanShard`, the verify driver
 /// of core/ChainDriver.h with the shard sink) and the per-shard results
 /// are joined sequentially (`mergeShardScans`). incr/ scans each chunk
-/// of an image as a shard, keeps the scans, and joins them here; the
-/// shard-derived lint and `fuzz_differential --fused` split whole
-/// images with `partitionShards`.
+/// of an image as a shard, keeps the scans, and joins them here.
 ///
-/// Rejected images are where the care goes: the sequential chain may
-/// cross a shard seam mid-instruction, in which case the downstream
-/// shard's fresh scan diverges from the sequential one. The merge
-/// detects this (the consumed shard's stop position overshoots the next
-/// shard base) and falls back to re-running the fused `verifyStep` from
-/// the exact overshoot position until the chain re-synchronizes with a
-/// later shard base, discarding the desynchronized shards' results. The
-/// result is therefore *bit-identical* to `RockSalt::check` — same
-/// verdict, same Valid/Target/PairJmp bitmaps, same reject reason — on
-/// every input, which is what keeps the paper's soundness argument
-/// intact: the incremental verifier is an implementation of the same
-/// checker function, not a new checker.
+/// The join steps no chain of its own. When every scan succeeded and
+/// each began exactly where the previous one stopped, the chain is the
+/// concatenation of the scans and the join copies their marks. Any
+/// other shard list (a failed scan, a chain that crossed a shard base
+/// mid-instruction, a gap, an overlap, a chain that ends short of the
+/// image) is answered by `checkImage` over the whole image. Either way
+/// the result is *bit-identical* to `RockSalt::check` (same verdict,
+/// same Valid/Target/PairJmp bitmaps, same reject reason) on every
+/// input, which is what keeps the paper's soundness argument intact:
+/// the incremental verifier is an implementation of the same checker
+/// function, not a new checker.
+///
+/// `partitionShards` has no production caller. It stays for the two
+/// differential legs that join arbitrary shard counts of mutated
+/// images: `fuzz_differential --fused` (the `fused_equivalence` gate)
+/// and the shard-derived lint (`analysis::lintImageFromShards`, the
+/// `lint_differential` gate).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,16 +45,16 @@ namespace core {
 
 /// The result of scanning one shard [Begin, End) of an image.
 /// Instruction starts are a bitmap over [Begin, End), one bit per byte,
-/// read through `isStart`/`forEachStart` so no caller depends on the
-/// word layout; targets and pair jumps are sparse position lists.
+/// read through `forEachStart` so no caller depends on the word layout;
+/// targets and pair jumps are sparse position lists.
 /// Buffers retain capacity across `reset`, so steady-state scans
 /// allocate nothing.
 struct ShardScan {
   uint32_t Begin = 0; ///< shard base, a multiple of BundleSize
   uint32_t End = 0;   ///< shard limit (next base, or image size)
-  /// First chain position >= End (success), or the failing position.
+  /// First chain position >= End; unspecified when Failed.
   uint32_t StopPos = 0;
-  bool Failed = false; ///< no grammar matched at StopPos
+  bool Failed = false; ///< the chain failed (no grammar matched) below End
 
   std::vector<uint32_t> TargetPos;  ///< absolute direct-jump targets
   std::vector<uint32_t> PairJmpPos; ///< jump halves of masked pairs
@@ -70,12 +73,6 @@ struct ShardScan {
     PairJmpPos.clear();
   }
 
-  /// True when the shard's chain started an instruction at \p Q.
-  bool isStart(uint32_t Q) const {
-    uint32_t I = Q - Begin;
-    return Q >= Begin && Q < End && (StartWords[I >> 6] >> (I & 63)) & 1;
-  }
-
   /// Calls \p Fn(Q) for every instruction start Q, ascending.
   template <typename Fn> void forEachStart(Fn &&F) const {
     for (size_t W = 0; W < StartWords.size(); ++W)
@@ -91,42 +88,32 @@ private:
 
 /// Runs the Figure-5 chain from S.Begin while the position is < S.End
 /// over a freshly `reset` \p S; a final match may overrun past End
-/// (StopPos records where the chain actually stopped, or the failing
-/// instruction's start). Marks exactly the starts the sequential scan
-/// would mark on the same chain, including the failing position. Both
-/// lanes stop at the first instruction start at or past S.End, so what
-/// the scan records depends on no byte past the last instruction begun
-/// below S.End: that is the scan-window contract the incremental
-/// verifier's dirty rule rests on (a patch outside a chunk's window
-/// cannot change its scan; incr/IncrementalVerifier.h). The next
-/// shard's first line is prefetched across the seam.
+/// (StopPos records where the chain actually stopped). Marks exactly
+/// the starts the sequential scan would mark on the same chain,
+/// including the failing position. Both lanes stop at the first
+/// instruction start at or past S.End, so what the scan records
+/// depends on no byte past the last instruction begun below S.End:
+/// that is the scan-window contract the incremental verifier's dirty
+/// rule rests on (a patch outside a chunk's window cannot change its
+/// scan; incr/IncrementalVerifier.h). The next shard's first line is
+/// prefetched across the seam.
 void scanShard(const FusedPolicy &P, const uint8_t *Code, uint32_t Size,
                ShardScan &S);
 
 /// Splits [0, Size) into \p NumShards bundle-aligned shards, filling
 /// \p Shards (reusing its elements' buffers). The actual count may be
-/// lower for small images; every shard is non-empty.
+/// lower for small images; every shard is non-empty. The differential
+/// legs' partition (see the file comment); incr/ cuts fixed chunks.
 void partitionShards(uint32_t Size, uint32_t NumShards,
                      std::vector<ShardScan> &Shards);
 
-/// The sequential join: replays the shard chain in order, re-checking
-/// seams where a shard's chain overran its limit (masked-jump pairs or
-/// direct jumps straddling a shard boundary) by stepping the fused
-/// `verifyStep` from the overshoot position until it lands exactly on a
-/// later shard base. Produces a CheckResult bit-identical to
-/// `RockSalt::check`. \p SeamRescans, when non-null, is incremented
-/// once per verifyStep executed during seam re-checking (a service
-/// metric).
+/// The sequential join. When no scan failed, each begins where the
+/// previous one stopped (the first at 0) and the last stops at \p Size,
+/// ORs the scans' marks into the bitmaps and runs the final pass;
+/// otherwise returns `checkImage` of the whole image. Bit-identical to
+/// `RockSalt::check` either way.
 CheckResult mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
-                            uint32_t Size, const std::vector<ShardScan> &Shards,
-                            uint64_t *SeamRescans = nullptr);
-
-/// Pointer-span form of the join above: the shards live wherever the
-/// caller keeps them. Identical semantics; the vector overload
-/// delegates here.
-CheckResult mergeShardScans(const FusedPolicy &P, const uint8_t *Code,
-                            uint32_t Size, const ShardScan *const *Shards,
-                            size_t NumShards, uint64_t *SeamRescans = nullptr);
+                            uint32_t Size, const std::vector<ShardScan> &Shards);
 
 } // namespace core
 } // namespace rocksalt

@@ -42,11 +42,6 @@ StepKind core::verifyStep(const PolicyTables &T, const uint8_t *Code,
   return referenceStep<X86Isa>(T, Code, Pos, Size, TargetOut);
 }
 
-StepKind core::verifyStep(const FusedPolicy &P, const uint8_t *Code,
-                          uint32_t *Pos, uint32_t Size, uint32_t *TargetOut) {
-  return chainStep<X86Isa>(P, Code, Pos, Size, TargetOut);
-}
-
 const char *core::rejectReasonName(RejectReason R) {
   switch (R) {
   case RejectReason::None:

@@ -16,9 +16,10 @@
 ///
 ///  * the **production driver** — one L1-resident 8-bit transition
 ///    array (core::FusedPolicy) walked in two lanes: the branchless
-///    NoControlFlow sweep and the full chain step
-///    (`verifyStep`/`verifyImage` over FusedPolicy, and `RockSalt`).
-///    The shard scan and the incremental verifier drive it too.
+///    NoControlFlow sweep and the full chain step (`verifyImage` over
+///    FusedPolicy, and `RockSalt`). The shard scan and the incremental
+///    verifier drive it too; its single chain step is
+///    `chainStep<X86Isa>` in core/ChainDriver.h.
 ///
 /// The two are certified bit-identical (verdict, reject reason, and the
 /// Valid/Target/PairJmp bitmaps) by tests/fused_tables_test.cpp and the
@@ -66,12 +67,6 @@ StepKind verifyStep(const PolicyTables &T, const uint8_t *Code, uint32_t *Pos,
 /// Figure 5: returns true iff the image respects the aligned sandbox
 /// policy.
 bool verifyImage(const PolicyTables &T, const uint8_t *Code, uint32_t Size);
-
-/// The production driver's chain step over the fused transition array.
-/// Bit-identical decisions and *Pos movement to the reference overload
-/// above. This is the step the shard merge replays seams with.
-StepKind verifyStep(const FusedPolicy &P, const uint8_t *Code, uint32_t *Pos,
-                    uint32_t Size, uint32_t *TargetOut);
 
 /// Figure 5 through the production driver (verdict sink).
 bool verifyImage(const FusedPolicy &P, const uint8_t *Code, uint32_t Size);

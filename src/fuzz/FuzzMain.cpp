@@ -188,6 +188,32 @@ std::string comparePatchVerdicts(const core::CheckResult &Got,
   return "";
 }
 
+/// The dirty rule's promise, checked directly: every chunk scan the
+/// incremental verifier keeps for \p E equals a fresh scan of the
+/// current bytes. Verdicts do not show a stale scan: the join checks
+/// the whole image when the scans are out of sync, and a scan an
+/// overhang write leaves in sync meets a successor whose fresh scan
+/// fails (DESIGN.md §12.1). Returns the first stale chunk, or -1.
+int64_t staleChunk(const core::FusedPolicy &P, const incr::ImageEntry &E) {
+  core::ShardScan Fresh;
+  std::vector<uint32_t> KeptStarts, FreshStarts;
+  for (uint32_t C = 0; C < E.numChunks(); ++C) {
+    const core::ShardScan &Kept = E.Chunks[C];
+    Fresh.reset(Kept.Begin, Kept.End);
+    core::scanShard(P, E.Bytes.data(), E.size(), Fresh);
+    KeptStarts.clear();
+    FreshStarts.clear();
+    Kept.forEachStart([&](uint32_t Q) { KeptStarts.push_back(Q); });
+    Fresh.forEachStart([&](uint32_t Q) { FreshStarts.push_back(Q); });
+    if (Kept.Failed != Fresh.Failed ||
+        (!Fresh.Failed && Kept.StopPos != Fresh.StopPos) ||
+        KeptStarts != FreshStarts || Kept.TargetPos != Fresh.TargetPos ||
+        Kept.PairJmpPos != Fresh.PairJmpPos)
+      return C;
+  }
+  return -1;
+}
+
 /// A patch that keeps an accepted image accepted: one whole bundle
 /// rewritten with nops (the last, partial bundle up to the image end).
 /// In an accepted image every bundle starts and ends on an instruction
@@ -199,6 +225,45 @@ fuzz::PatchOp nopBundle(const std::vector<uint8_t> &Code, Rng &R) {
   fuzz::PatchOp P;
   P.Offset = uint32_t(R.below(Bundles)) * core::BundleSize;
   P.Bytes.assign(std::min(core::BundleSize, Size - P.Offset), 0x90);
+  return P;
+}
+
+/// A patch that completes, from the successor chunk's side alone, an
+/// instruction the predecessor chunk's scan ended on. When the chain of
+/// the accepted image (\p Ref) ends a mask `and r, -32` (83 E0+r E0)
+/// exactly on a chunk base, it writes the matching `jmp *r` (FF E0+r)
+/// at the base and nowhere else: the masked pair now straddles the
+/// base, and only the predecessor's read-window overhang sees the
+/// write. Without such a mask it plants one as the last three bytes of
+/// a nop bundle ending on a random chunk base (the image stays
+/// accepted) for a later step to complete. An image with no chunk base
+/// gets a plain nop bundle.
+fuzz::PatchOp baseCompletion(const std::vector<uint8_t> &Code,
+                             const core::CheckResult &Ref, uint32_t ChunkBytes,
+                             Rng &R) {
+  const uint32_t Size = uint32_t(Code.size());
+  // Chunk bases with room after them for the jump half.
+  const uint32_t Bases = Size >= 2 ? (Size - 2) / ChunkBytes : 0;
+  if (Bases == 0)
+    return nopBundle(Code, R);
+  fuzz::PatchOp P;
+  for (uint32_t K = 1; K <= Bases; ++K) {
+    const uint32_t B = K * ChunkBytes;
+    const uint8_t Reg = Code[B - 2] & 7;
+    if (Ref.Valid[B - 3] && Code[B - 3] == 0x83 &&
+        (Code[B - 2] & 0xF8) == 0xE0 && Code[B - 1] == 0xE0 && Reg != 4) {
+      P.Offset = B;
+      P.Bytes = {0xFF, uint8_t(0xE0 | Reg)};
+      return P;
+    }
+  }
+  static const uint8_t Regs[] = {0, 1, 2, 3, 5, 6, 7}; // no esp pairs
+  const uint8_t Reg = Regs[R.below(std::size(Regs))];
+  P.Offset = uint32_t(R.range(1, Bases)) * ChunkBytes - core::BundleSize;
+  P.Bytes.assign(core::BundleSize, 0x90);
+  P.Bytes[core::BundleSize - 3] = 0x83;
+  P.Bytes[core::BundleSize - 2] = uint8_t(0xE0 | Reg);
+  P.Bytes[core::BundleSize - 1] = 0xE0;
   return P;
 }
 
@@ -217,9 +282,13 @@ fuzz::PatchOp nopBundle(const std::vector<uint8_t> &Code, Rng &R) {
 /// the splice in the loop: three quarters of the steps that start from
 /// a reject put back the image's last accepted bytes, and half the
 /// steps that start from an accept nop whole bundles instead of drawing
-/// structured patches. The summary counts the steps that started from
-/// an accepted image and the steps that spliced, and the mode fails
-/// when none spliced.
+/// structured patches. Half of those nop-bundle steps take the
+/// base-completion shape instead (`baseCompletion`), which puts the
+/// dirty rule's read-window overhang in the loop. After every step the
+/// verifier's kept chunk scans are also held to fresh scans
+/// (`staleChunk`), since a stale scan need not change a verdict. The
+/// summary counts the steps that started from an accepted image and
+/// the steps that spliced, and the mode fails when none spliced.
 int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
   const core::PolicyTables &T = core::policyTables();
   core::RockSalt Full(T);
@@ -277,7 +346,14 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
       const bool Revert =
           !Ref.Ok && !LastAccepted.empty() && RevertRng.chance(3, 4);
       const bool Nop = Ref.Ok && NopRng.flip();
-      const char *Shape = Revert ? "revert" : Nop ? "nop-bundle" : nullptr;
+      // A second draw from the same stream: xorshift64*'s low output
+      // bit is linear in the seed, so a fresh stream seeded like the
+      // ones above would flip in lockstep with NopRng's first draw.
+      const bool Completion = Nop && NopRng.flip();
+      const char *Shape = Revert       ? "revert"
+                          : Completion ? "base-completion"
+                          : Nop        ? "nop-bundle"
+                                       : nullptr;
       FromAccepted += Ref.Ok;
       Batch.clear();
       auto Apply = [&](fuzz::PatchOp P) {
@@ -300,6 +376,8 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
         P.Bytes.assign(LastAccepted.begin() + Lo, LastAccepted.begin() + Hi);
         if (Lo < Hi)
           Apply(std::move(P));
+      } else if (Completion) {
+        Apply(baseCompletion(Bytes, Ref, IO.ChunkBytes, NopRng));
       } else {
         // Each patch is drawn against the bytes the previous one left.
         for (uint64_t K = 0; K < Count; ++K)
@@ -313,6 +391,11 @@ int runPatchDifferential(const CliOptions &O, svc::Metrics &M) {
       if (Ref.Ok)
         LastAccepted = Bytes;
       Diff = comparePatchVerdicts(Incr.lastCheck(Id), Ref);
+      const int64_t Stale =
+          Diff.empty() ? staleChunk(Full.fused(), *Incr.store().get(Id)) : -1;
+      if (Stale >= 0)
+        Diff = "chunk " + std::to_string(Stale) +
+               "'s kept scan differs from a fresh scan";
       if (!Diff.empty()) {
         ++Disagreements;
         std::printf("PATCH DISAGREEMENT at image-seed=%llu step=%llu "

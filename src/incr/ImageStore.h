@@ -38,8 +38,9 @@ using ImageId = uint32_t;
 /// positions some jump targets have an entry, so it costs O(jumps), not
 /// O(image)), so retiring one chunk's jumps clears exactly the bits no
 /// other jump still justifies; `R.Target[p]` is set exactly when p has
-/// one. Only valid while `Ok` — any reject drops back to the full merge
-/// until the image is accepted again.
+/// one. Only valid while `Ok`: after any reject every verdict comes
+/// from the full join of core/Shard (the in-sync scans concatenated, or
+/// a whole-image check) until the image is accepted again.
 struct MergeState {
   bool Ok = false;
   core::CheckResult R;

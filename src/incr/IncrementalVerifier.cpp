@@ -7,10 +7,10 @@
 // chain is the concatenation of its chunk scans, and swapping a dirty
 // chunk's old scan for its new one changes only that chunk's marks.
 // Everything else (first verdict, rejects, finalize violations) falls
-// back to the full seam-aware merge of core/Shard, which keeps every
-// verdict bit-identical to the sequential checker. Finding the dirty
-// chunks, the scan and the splice are then all O(patch), which is the
-// bench gate's >= 5x.
+// back to the full join of core/Shard, which concatenates in-sync scans
+// or checks the whole image, so every verdict stays bit-identical to
+// the sequential checker. Finding the dirty chunks, the scan and the
+// splice are then all O(patch), which is the bench gate's >= 5x.
 //
 //===----------------------------------------------------------------------===//
 
@@ -139,14 +139,14 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
   Res.ChunksRescanned = uint32_t(E.DirtyList.size());
 
   if (!M.Ok || !spliceReverify(E, Res)) {
-    // Full path: first verdict, rejects, and splice bail-outs. The
-    // seam-aware join is the certified-bit-identical reference.
+    // Full path: first verdict, rejects, and splice bail-outs. The join
+    // is bit-identical to a whole-image check.
     Res.Windows.clear(); // drop any windows a bailed-out splice appended
-    M.R = core::mergeShardScans(Fused, Code, Size, E.Chunks, &Res.SeamRescans);
+    M.R = core::mergeShardScans(Fused, Code, Size, E.Chunks);
     M.Ok = Res.Ok = M.R.Ok;
     Res.Reason = M.R.Reason;
-    // An accepted merge is the concatenation of the chunk scans (see
-    // spliceReverify), so its targets are exactly theirs.
+    // An accepted image's chain is the concatenation of the chunk scans
+    // (see spliceReverify), so its targets are exactly theirs.
     M.TargetCnt.clear();
     if (M.Ok)
       for (const core::ShardScan &S : E.Chunks)
@@ -155,10 +155,8 @@ IncrResult IncrementalVerifier::reverify(ImageId Id) {
   }
   E.DirtyList.clear();
 
-  if (Met) {
+  if (Met)
     Met->ShardsScanned.add(Res.ChunksRescanned);
-    Met->SeamRescans.add(Res.SeamRescans);
-  }
   return Res;
 }
 
@@ -170,12 +168,13 @@ bool IncrementalVerifier::spliceReverify(ImageEntry &E, IncrResult &Res) {
   // certifies every chunk scan ended exactly on its chunk's end, and
   // the untouched ones still do (their read windows are unchanged). If
   // every new scan does too, the chain is again the concatenation of
-  // the scans, by induction from position 0. A failed scan stops at the
-  // failing start, below its end; one that ran past its end left a
-  // bundle boundary that is not an instruction start. Both are rejects
-  // whose reason and bitmaps the full merge pins.
+  // the scans, by induction from position 0. A failed scan's StopPos
+  // says nothing (a final chunk that runs out of bytes mid-instruction
+  // stops at its end), and one that ran past its end left a bundle
+  // boundary that is not an instruction start. Both are rejects whose
+  // reason and bitmaps the full join pins.
   for (uint32_t C : Dirty)
-    if (E.Chunks[C].StopPos != E.Chunks[C].End)
+    if (E.Chunks[C].Failed || E.Chunks[C].StopPos != E.Chunks[C].End)
       return false;
 
   // Does any direct branch land strictly inside (B, End)?

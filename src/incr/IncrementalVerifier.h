@@ -25,11 +25,13 @@
 ///                              its old scans' marks for the new ones
 ///                              and re-checks the final pass over that
 ///                              window only. Any reject (and the first
-///                              verdict) goes through the full
-///                              seam-aware join of core/Shard instead,
-///                              so the verdict stays certified
-///                              bit-identical to `RockSalt::check` on
-///                              the current bytes;
+///                              verdict) goes through the full join of
+///                              core/Shard instead: a concatenation of
+///                              the chunk scans when they are in sync,
+///                              a whole-image check otherwise, so the
+///                              verdict stays certified bit-identical
+///                              to `RockSalt::check` on the current
+///                              bytes;
 ///   patch(id, off, b[])      — patchBytes + reverify, the service's
 ///                              per-request shape;
 ///   close(id)                — unregister.
@@ -101,11 +103,12 @@ struct IncrResult {
   /// Always 0: every dirty chunk is rescanned. Kept because
   /// e2ebench/JitPatch.cpp still reads it.
   uint32_t ChunkCacheHits = 0;
-  /// verifySteps the full merge replayed at chunk seams: the splice
-  /// never steps a seam, so a spliced result counts zero.
+  /// Always 0: the full join steps no chain of its own (a chain that
+  /// leaves a chunk off its base is a whole-image check). Kept because
+  /// e2ebench/JitPatch.cpp still reads it.
   uint64_t SeamRescans = 0;
   /// True when the verdict came from the O(patch) splice path; Windows
-  /// then lists every spliced window. False means a full merge ran
+  /// then lists every spliced window. False means the full join ran
   /// (first verdict, any reject, or a splice bail-out) and Windows is
   /// empty.
   bool Spliced = false;
@@ -164,11 +167,11 @@ private:
   /// into E.Merge and re-checks the final pass over that window. False
   /// when the result is not a clean accept (a new scan that fails or
   /// ends off its chunk's end, a finalize violation) — the caller then
-  /// runs the full merge.
+  /// runs the full join.
   bool spliceReverify(ImageEntry &E, IncrResult &Res);
 
   /// The fused form of the policy tables, built once per verifier: chunk
-  /// scans and full merges drive it.
+  /// scans and full joins drive it.
   core::FusedPolicy Fused;
   uint32_t MaxRead;
   IncrementalOptions Opts;

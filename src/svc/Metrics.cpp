@@ -117,7 +117,6 @@ std::string Metrics::exposition() const {
   dumpScalar(Out, "reject_unaligned_bundle", RejectUnaligned.get());
   dumpScalar(Out, "bytes_verified", BytesVerified.get());
   dumpScalar(Out, "shards_scanned", ShardsScanned.get());
-  dumpScalar(Out, "seam_rescans", SeamRescans.get());
   dumpScalar(Out, "tasks_run", TasksRun.get());
   dumpScalar(Out, "tasks_stolen", TasksStolen.get());
   dumpScalar(Out, "fuzz_oracle_runs", OracleRuns.get());
@@ -174,7 +173,6 @@ void Metrics::reset() {
   RejectUnaligned.reset();
   BytesVerified.reset();
   ShardsScanned.reset();
-  SeamRescans.reset();
   TasksRun.reset();
   TasksStolen.reset();
   QueueDepth.reset();

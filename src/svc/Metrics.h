@@ -101,7 +101,6 @@ struct Metrics {
 
   // Incremental re-verify internals (incr/IncrementalVerifier).
   Counter ShardsScanned;    ///< dirty chunks rescanned (every dirty chunk)
-  Counter SeamRescans;      ///< seam verifySteps of full merges (rejects)
 
   // Pool internals.
   Counter TasksRun;

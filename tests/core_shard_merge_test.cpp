@@ -1,19 +1,20 @@
 //===- tests/core_shard_merge_test.cpp -------------------------*- C++ -*-===//
 //
-// The shard scan and seam-aware merge (core/Shard.h) must be an
-// *implementation* of the sequential checker, not a new checker: the
-// incremental verifier joins its chunk scans through `mergeShardScans`,
-// so the merged result has to be bit-identical — verdict, reject reason
-// and Valid/Target/PairJmp bitmaps — to the reference walk
-// (`checkLegacy`, the paper's Figures 5/6) on every input.
+// The shard scan and join (core/Shard.h) must be an *implementation* of
+// the sequential checker, not a new checker: the incremental verifier
+// joins its chunk scans through `mergeShardScans`, so the merged result
+// has to be bit-identical — verdict, reject reason and
+// Valid/Target/PairJmp bitmaps — to the reference walk (`checkLegacy`,
+// the paper's Figures 5/6) on every input.
 //
 // Each image here is split one bundle per shard, every shard is scanned
-// fresh from its base, and the shards are joined through the
-// pointer-span merge the incremental verifier calls. The crafted cases
-// are the inputs where a shard-and-rescan decomposition can diverge
-// from the sequential chain: masked-jump pairs and direct jumps that
-// straddle a seam, jumps onto seam positions, truncated tails, and
-// chains that stay desynchronized across several seams.
+// fresh from its base, and the shards are joined through the merge the
+// incremental verifier calls. The crafted cases are the inputs where a
+// shard-and-rescan decomposition can diverge from the sequential chain:
+// masked-jump pairs and direct jumps that straddle a seam, jumps onto
+// seam positions, truncated tails, and chains that stay desynchronized
+// across several seams. The join must tell them from the in-sync case
+// (and fall back to a whole-image check) without being told.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,34 +42,34 @@ void expectSameAsReference(const std::vector<uint8_t> &Code,
 }
 
 /// Scans every shard of \p Shards fresh and joins them the way the
-/// incremental verifier does; returns the seam re-check count.
-uint64_t scanAndMerge(const std::vector<uint8_t> &Code,
+/// incremental verifier does; returns the number of shards whose chain
+/// did not stop at the next shard's base (each one sends the join to
+/// the whole-image check).
+uint32_t scanAndMerge(const std::vector<uint8_t> &Code,
                       std::vector<core::ShardScan> &Shards,
                       core::CheckResult &Out) {
   const core::FusedPolicy &P = core::fusedPolicyTables();
   uint32_t Size = uint32_t(Code.size());
-  std::vector<const core::ShardScan *> Ptrs;
-  for (core::ShardScan &S : Shards) {
+  for (core::ShardScan &S : Shards)
     core::scanShard(P, Code.data(), Size, S);
-    Ptrs.push_back(&S);
-  }
-  uint64_t Rescans = 0;
-  Out = core::mergeShardScans(P, Code.data(), Size, Ptrs.data(), Ptrs.size(),
-                              &Rescans);
-  return Rescans;
+  Out = core::mergeShardScans(P, Code.data(), Size, Shards);
+  uint32_t Desynced = 0;
+  for (size_t I = 0; I + 1 < Shards.size(); ++I)
+    Desynced += Shards[I].StopPos != Shards[I + 1].Begin;
+  return Desynced;
 }
 
 /// One bundle per shard — the maximal seam count — merged and held to
-/// the reference. Returns the seam re-check count.
-uint64_t expectEquivalent(const std::vector<uint8_t> &Code) {
+/// the reference. Returns the desynchronized shard count.
+uint32_t expectEquivalent(const std::vector<uint8_t> &Code) {
   uint32_t Size = uint32_t(Code.size());
   std::vector<core::ShardScan> Shards;
   core::partitionShards(Size, (Size + core::BundleSize - 1) / core::BundleSize,
                         Shards);
   core::CheckResult R;
-  uint64_t Rescans = scanAndMerge(Code, Shards, R);
+  uint32_t Desynced = scanAndMerge(Code, Shards, R);
   expectSameAsReference(Code, R);
-  return Rescans;
+  return Desynced;
 }
 
 std::vector<uint8_t> nops(uint32_t N) { return std::vector<uint8_t>(N, 0x90); }
@@ -99,7 +100,7 @@ TEST(EquivalenceTest, MaskedPairStraddlingSeam) {
   // instruction start) — the merge must reject like the reference.
   std::vector<uint8_t> Code = nops(96);
   patch(Code, 29, {0x83, 0xE0, 0xE0, 0xFF, 0xE0}); // and eax,-32; jmp *eax
-  EXPECT_GT(expectEquivalent(Code), 0u) << "seam re-check did not trigger";
+  EXPECT_GT(expectEquivalent(Code), 0u) << "no shard desynchronized";
 
   // Pair split across the seam at the mask/jump boundary (mask at
   // 30..32 crosses; jump at 33).
@@ -152,8 +153,8 @@ TEST(EquivalenceTest, TruncatedTailAndDesyncChains) {
   expectEquivalent(Code);
 
   // A long desync: every bundle starts one byte into a 2-byte pattern,
-  // so after the first seam overrun the rescan has to walk several
-  // shards before resyncing (if ever).
+  // so after the first seam overrun the chain crosses several shard
+  // bases before resyncing (if ever).
   std::vector<uint8_t> Code2 = nops(160);
   for (uint32_t P = 31; P + 1 < 160; P += 32)
     patch(Code2, P, {0xB8}); // mov eax, imm32 eating the next 4 bytes
@@ -161,19 +162,21 @@ TEST(EquivalenceTest, TruncatedTailAndDesyncChains) {
 }
 
 /// The merge must also behave when handed shard layouts partitionShards
-/// never produces (gaps are stepped sequentially, overlaps discarded).
+/// never produces: a gap, an overlap or a chain that ends short of the
+/// image is not a concatenation, so each goes to the whole-image check.
 TEST(ShardMergeTest, ToleratesGappyPartitions) {
   // A nop sled, and one with a direct jump and a masked pair inside the
-  // scanned shard plus another of each in the gaps the merge steps.
+  // scanned shard plus another of each in the gaps.
   std::vector<uint8_t> Jumpy = nops(128);
   patch(Jumpy, 0, {0xEB, 62});                       // jmp → 64
   patch(Jumpy, 70, {0x83, 0xE0, 0xE0, 0xFF, 0xE0}); // and eax,-32; jmp *eax
   patch(Jumpy, 80, {0xE9, 27, 0, 0, 0});             // jmp → 112
   patch(Jumpy, 100, {0x83, 0xE1, 0xE0, 0xFF, 0xD1}); // and ecx,-32; call *ecx
   // {Begin, End} lists: one shard in the middle, gaps around a single
-  // scanned bundle at each end, and an overlap the merge must discard.
+  // scanned bundle at each end, an overlap, and a trailing gap (the
+  // scans are in sync but end short of the image).
   const std::vector<std::pair<uint32_t, uint32_t>> Layouts[] = {
-      {{64, 96}}, {{0, 32}, {96, 128}}, {{0, 64}, {32, 96}}};
+      {{64, 96}}, {{0, 32}, {96, 128}}, {{0, 64}, {32, 96}}, {{0, 64}}};
   for (const std::vector<uint8_t> &Code : {nops(128), Jumpy})
     for (const auto &Layout : Layouts) {
       std::vector<core::ShardScan> Shards(Layout.size());

@@ -322,7 +322,8 @@ TEST(Policy, MaskedJumpAcceptsOnlyFiveByteStrings) {
   }
   ASSERT_EQ(AcceptDepths.size(), 1u)
       << "MaskedJump accepts strings of several lengths; the PairJmp "
-         "derivation in check/scanShard/mergeShardScans must be revisited";
+         "derivation in the chain driver (check, scanShard) must be "
+         "revisited";
   EXPECT_EQ(AcceptDepths[0], 3u + MaskedJumpHalfLen);
 }
 

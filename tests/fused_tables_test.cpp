@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/ChainDriver.h"
 #include "core/Shard.h"
 #include "core/Verifier.h"
 #include "nacl/Mutator.h"
@@ -157,7 +158,7 @@ TEST(FusedTables, PerPrefixMatchLockstep) {
       // And the full chain step.
       uint32_t LegPos = Pos, FusPos = Pos, LegTgt = 0, FusTgt = 0;
       StepKind Leg = verifyStep(tables(), Img.data(), &LegPos, Size, &LegTgt);
-      StepKind Fus = verifyStep(P, Img.data(), &FusPos, Size, &FusTgt);
+      StepKind Fus = chainStep<X86Isa>(P, Img.data(), &FusPos, Size, &FusTgt);
       ASSERT_EQ(int(Fus), int(Leg)) << "step at " << Pos;
       ASSERT_EQ(FusPos, LegPos) << "step at " << Pos;
       if (Leg == StepKind::DirectJump)
@@ -372,8 +373,12 @@ TEST(FusedTables, ShardScanMergeLockstepAcrossSeams) {
         ASSERT_EQ(Starts, RefStarts);
         ASSERT_EQ(Shards[I].TargetPos, LegacyShards[I].TargetPos);
         ASSERT_EQ(Shards[I].PairJmpPos, LegacyShards[I].PairJmpPos);
-        ASSERT_EQ(Shards[I].StopPos, LegacyShards[I].StopPos);
         ASSERT_EQ(Shards[I].Failed, LegacyShards[I].Failed);
+        // A failed scan's StopPos is unspecified; the join reads it only
+        // from scans that succeeded.
+        if (!Shards[I].Failed) {
+          ASSERT_EQ(Shards[I].StopPos, LegacyShards[I].StopPos);
+        }
       }
     }
   }

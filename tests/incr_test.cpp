@@ -133,6 +133,16 @@ TEST(IncrTest, PatchInFinalPartialChunk) {
   Img[511] = 0x40; // straddles the chunk seam's scan window
   V.patch(Id, 511, &Img[511], 1);
   expectBitIdentical(V, Id, Img, "patch at seam");
+
+  // A `mov eax, imm32` opcode as the last byte: the final chunk's scan
+  // runs out of bytes mid-instruction and fails at its end, so the
+  // splice must read Failed, not StopPos, to hand the no-parse on.
+  Img[999] = 0xB8;
+  incr::IncrResult R = V.patch(Id, 999, &Img[999], 1);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Reason, core::RejectReason::NoParse);
+  EXPECT_FALSE(R.Spliced);
+  expectBitIdentical(V, Id, Img, "truncated last instruction");
 }
 
 TEST(IncrTest, AcceptRejectAcceptFlipRescansTheChunk) {
@@ -223,9 +233,6 @@ TEST(IncrTest, BatchedPatchesThenOneReverify) {
       SCOPED_TRACE(What + ", chunk " + std::to_string(CB));
       incr::IncrResult R = V.reverify(Id);
       EXPECT_EQ(R.ChunksRescanned, Dirty.size());
-      if (R.Spliced) {
-        EXPECT_EQ(R.SeamRescans, 0u); // the splice never steps a seam
-      }
       if (Scripted) {
         size_t Runs = 0;
         for (uint32_t C : Dirty)
@@ -284,7 +291,8 @@ TEST(IncrTest, ScanOverrunningItsChunkEndLeavesTheRejectToTheFullMerge) {
   // instruction start. Chunk 2 is not dirty and keeps its old scan, and
   // chunk 1's window alone passes the final pass: only the splice's
   // end-of-chunk check sees the overrun and hands the reject to the
-  // full merge.
+  // full join, which finds chunk 1 out of sync and checks the whole
+  // image.
   for (uint32_t CB : {32u, 128u, 512u}) {
     SCOPED_TRACE("chunk " + std::to_string(CB));
     std::vector<uint8_t> Img(4 * 512, 0x90);
@@ -301,7 +309,6 @@ TEST(IncrTest, ScanOverrunningItsChunkEndLeavesTheRejectToTheFullMerge) {
     EXPECT_FALSE(R.Ok);
     EXPECT_EQ(R.Reason, core::RejectReason::UnalignedBundle);
     EXPECT_FALSE(R.Spliced);
-    EXPECT_GT(R.SeamRescans, 0u); // the full merge re-checked the seam
     expectBitIdentical(V, Id, Img, "overrun");
 
     // Reverting rescans the one dirty chunk back to the accepted
@@ -323,9 +330,10 @@ TEST(IncrTest, MaskedPairStraddlingAChunkBaseRescansBothChunks) {
   // NoControlFlow instruction. Patching chunk 2's first two bytes to
   // `jmp eax` completes a masked pair that straddles chunk 2's base (a
   // bundle boundary). Chunk 1's scan read those two bytes through its
-  // window's overhang, so the dirty rule must rescan it too: with only
-  // chunk 2 rescanned, chunk 1's stale scan would end on its chunk's
-  // end and the merge would answer no-parse for a bare `jmp eax`.
+  // window's overhang, so the dirty rule must rescan it too. The
+  // rescan count pins that: with only chunk 2 rescanned the verdict
+  // would still agree, because chunk 2's fresh scan fails on a bare
+  // `jmp eax` and the join then checks the whole image.
   for (uint32_t CB : {32u, 128u, 512u}) {
     SCOPED_TRACE("chunk " + std::to_string(CB));
     std::vector<uint8_t> Img(4 * 512, 0x90);

@@ -333,7 +333,7 @@ TEST(MipsPolicy, RawAndMinimizedDecideIdentically) {
 // The 14-obligation meta-audit over the MIPS tables.
 //===----------------------------------------------------------------------===//
 
-TEST(MipsPolicy, MetaAuditDischargesAllThirteenObligations) {
+TEST(MipsPolicy, MetaAuditDischargesAllFourteenObligations) {
   analysis::AuditReport R = analysis::auditMipsPolicy();
   EXPECT_TRUE(R.Pass) << R.render();
   EXPECT_EQ(R.Findings.size(), 14u);

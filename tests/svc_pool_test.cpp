@@ -48,7 +48,7 @@ TEST(MetricsTest, DumpExposesEveryFamily) {
   EXPECT_NE(D.find("queue_depth 2"), std::string::npos);
   EXPECT_NE(D.find("verify_nanos_count 1"), std::string::npos);
   EXPECT_NE(D.find("verify_nanos_bucket{le="), std::string::npos);
-  EXPECT_NE(D.find("seam_rescans 0"), std::string::npos);
+  EXPECT_NE(D.find("shards_scanned 0"), std::string::npos);
 }
 
 TEST(VerifierPoolTest, TaskGroupRunsEverything) {
