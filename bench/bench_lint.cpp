@@ -6,9 +6,10 @@
 // re-scan, CFG recovery, full pass pipeline) or an O(patch window)
 // incremental re-lint riding the verifier's splice windows, with a
 // byte-identical report. This bench measures both, plus the one-time
-// lint-state seeding cost, and emits one JSON line per quantity
-// (appended to BENCH_lint.json when ROCKSALT_BENCH_JSON is set, else
-// stdout).
+// lint-state seeding cost and the fresh lint's two halves (CFG recovery
+// and the passes with their diagnostics), and emits one JSON line per
+// quantity (appended to BENCH_lint.json when ROCKSALT_BENCH_JSON is
+// set, else stdout).
 //
 // The acceptance line: a 64-byte patch on a 1 MiB accepted image must
 // re-lint at least 10x faster than a fresh `lintImage` — below that the
@@ -143,16 +144,33 @@ int main(int argc, char **argv) {
     }
   }
 
-  std::vector<double> FullRuns;
+  // Each rep times a fresh lintImage, then its two halves run apart:
+  // recoverCfg (the chain re-scan) and lintCfg (passes + diagnostics).
+  // Every result outlives its timer, so no timed span frees one.
+  auto MsSince = [](std::chrono::steady_clock::time_point T0) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - T0)
+        .count();
+  };
+  std::vector<double> FullRuns, RecoverRuns, PassRuns;
   for (int I = 0; I < 15; ++I) {
     auto T0 = std::chrono::steady_clock::now();
-    analysis::CfgLintResult L = analysis::lintImage(T, Img);
-    auto T1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(L.Errors);
-    FullRuns.push_back(
-        std::chrono::duration<double, std::milli>(T1 - T0).count());
+    analysis::CfgLintResult Fresh = analysis::lintImage(T, Img);
+    FullRuns.push_back(MsSince(T0));
+
+    T0 = std::chrono::steady_clock::now();
+    analysis::RecoveredCfg Cfg =
+        analysis::recoverCfg(T, Img.data(), ImageBytes);
+    RecoverRuns.push_back(MsSince(T0));
+    T0 = std::chrono::steady_clock::now();
+    analysis::CfgLintResult Split =
+        analysis::lintCfg(std::move(Cfg), ImageBytes, nullptr);
+    PassRuns.push_back(MsSince(T0));
+    benchmark::DoNotOptimize(Fresh.Errors + Split.Errors);
   }
   double FullMs = medianOf(FullRuns);
+  double RecoverMs = medianOf(RecoverRuns);
+  double PassMs = medianOf(PassRuns);
 
   // Per patch: the verifier's re-verify runs untimed (that cost is E13's
   // number); only the re-lint is measured, against the fresh full lint.
@@ -196,6 +214,8 @@ int main(int argc, char **argv) {
               incr::IncrementalOptions{}.ChunkBytes);
   std::printf("lint-state seeding (full lint): %8.3f ms\n", OpenMs);
   std::printf("fresh lintImage per patch:      %8.3f ms\n", FullMs);
+  std::printf("  CFG recovery (recoverCfg):    %8.3f ms\n", RecoverMs);
+  std::printf("  passes + diags (lintCfg):     %8.3f ms\n", PassMs);
   std::printf("incremental re-lint (64 B):     %8.3f ms  (%.1fx faster; "
               "%u/15 fast-path windows)\n",
               RelintMs, Speedup, FastPaths);
@@ -218,6 +238,8 @@ int main(int argc, char **argv) {
   };
   Line("lint_open_1m_ms", OpenMs);
   Line("full_lint_1m_ms", FullMs);
+  Line("recover_cfg_1m_ms", RecoverMs);
+  Line("lint_cfg_1m_ms", PassMs);
   Line("relint64_ms", RelintMs);
   Line("relint64_speedup_x", Speedup);
   Line("relint64_fastpath_frac", FastPaths / 15.0);

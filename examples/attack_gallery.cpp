@@ -21,6 +21,7 @@
 #include "x86/FastDecoder.h"
 #include "x86/Printer.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace rocksalt;
@@ -110,8 +111,9 @@ int main() {
                      "aligned indirect jump can land between the mask "
                      "and the jump.",
                      [] {
-                       std::vector<uint8_t> C(29, 0x90);
-                       C.insert(C.end(), {0x83, 0xE3, 0xE0, 0xFF, 0xE3});
+                       std::vector<uint8_t> C(34, 0x90);
+                       const uint8_t Pair[] = {0x83, 0xE3, 0xE0, 0xFF, 0xE3};
+                       std::copy(Pair, Pair + 5, C.begin() + 29);
                        return pad32(C);
                      }()});
 

@@ -1,6 +1,6 @@
 //===- analysis/Dataflow.cpp - Whole-image dataflow over the CFG ----------===//
 //
-// The worklist engine's concrete passes and the three lint front ends.
+// The lint's passes, its three front ends and the incremental linter.
 // Everything funnels into lintCfg, which is what keeps the sequential,
 // shard-derived, and incremental lint paths bit-identical: they may
 // recover the nodes differently, but the analysis and the diagnostics
@@ -27,27 +27,9 @@ using core::StepKind;
 
 CfgGraph::CfgGraph(const std::vector<CfgNode> &Nodes, uint32_t Size)
     : NodesRef(&Nodes) {
-  const uint32_t N = uint32_t(Nodes.size());
   NodeAt.assign(Size, kNoNode);
-  for (uint32_t I = 0; I < N; ++I)
+  for (uint32_t I = 0; I < Nodes.size(); ++I)
     NodeAt[Nodes[I].Begin] = I;
-
-  PredOff.assign(N + 1, 0);
-  uint32_t Fan[2];
-  for (uint32_t I = 0; I < N; ++I) {
-    unsigned NS = succs(I, Fan);
-    for (unsigned S = 0; S < NS; ++S)
-      ++PredOff[Fan[S] + 1];
-  }
-  for (uint32_t I = 0; I < N; ++I)
-    PredOff[I + 1] += PredOff[I];
-  PredLst.assign(PredOff[N], 0);
-  std::vector<uint32_t> Fill(PredOff.begin(), PredOff.end() - 1);
-  for (uint32_t I = 0; I < N; ++I) {
-    unsigned NS = succs(I, Fan);
-    for (unsigned S = 0; S < NS; ++S)
-      PredLst[Fill[Fan[S]]++] = I;
-  }
 }
 
 unsigned CfgGraph::succs(uint32_t I, uint32_t Out[2]) const {
@@ -65,124 +47,119 @@ unsigned CfgGraph::succs(uint32_t I, uint32_t Out[2]) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Lattices
+// Passes
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// May-reachability: 0/1, join is OR. With HubLive set, every
-/// bundle-start node is an additional boundary seed (the computed-entry
-/// hub).
-struct ReachLattice {
-  using Value = uint8_t;
-  const std::vector<CfgNode> *Nodes;
-  bool HubLive = false;
+/// Marks every node reachable from the nodes on \p Work, which are
+/// already marked, and empties \p Work.
+void flood(const CfgGraph &G, std::vector<uint8_t> &Mark,
+           std::vector<uint32_t> &Work) {
+  uint32_t Fan[2];
+  while (!Work.empty()) {
+    uint32_t I = Work.back();
+    Work.pop_back();
+    unsigned NS = G.succs(I, Fan);
+    for (unsigned S = 0; S < NS; ++S)
+      if (!Mark[Fan[S]]) {
+        Mark[Fan[S]] = 1;
+        Work.push_back(Fan[S]);
+      }
+  }
+}
 
-  Value bottom() const { return 0; }
-  Value boundary(uint32_t I) const {
-    if (I == 0)
-      return 1;
-    return HubLive && (*Nodes)[I].Begin % core::BundleSize == 0 ? 1 : 0;
-  }
-  bool join(Value &D, Value S) const {
-    if (S && !D) {
-      D = 1;
-      return true;
-    }
-    return false;
-  }
-  Value transfer(uint32_t, Value In) const { return In; }
-};
-
-/// Reaching-mask must-analysis. The "join" is a meet over the
-/// finite-height order  kGuardUnknown ⊒ {guards, kGuardNone} ⊒
-/// kGuardMany; a masked pair installs its own Begin, everything else
-/// propagates. With HubLive set, every bundle start additionally meets
-/// in kGuardNone (the unguarded computed entry).
-struct GuardLattice {
-  using Value = uint32_t;
-  const std::vector<CfgNode> *Nodes;
-  bool HubLive = false;
-
-  Value bottom() const { return kGuardUnknown; }
-  Value boundary(uint32_t I) const {
-    if (I == 0)
-      return kGuardNone;
-    return HubLive && (*Nodes)[I].Begin % core::BundleSize == 0 ? kGuardNone
-                                                                : kGuardUnknown;
-  }
-  static Value meet(Value A, Value B) {
-    if (A == kGuardUnknown)
-      return B;
-    if (B == kGuardUnknown)
-      return A;
-    return A == B ? A : kGuardMany;
-  }
-  bool join(Value &D, Value S) const {
-    Value M = meet(D, S);
-    if (M == D)
-      return false;
-    D = M;
-    return true;
-  }
-  Value transfer(uint32_t I, Value In) const {
-    const CfgNode &N = (*Nodes)[I];
-    return N.Kind == StepKind::MaskedJump ? N.Begin : In;
-  }
-};
+/// The reaching-mask meet: kGuardUnknown is its identity, equal values
+/// stay, and two different values meet in kGuardMany.
+uint32_t meetGuard(uint32_t A, uint32_t B) {
+  if (A == kGuardUnknown)
+    return B;
+  if (B == kGuardUnknown)
+    return A;
+  return A == B ? A : kGuardMany;
+}
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Passes
-//===----------------------------------------------------------------------===//
 
 ReachInfo analysis::reachability(const CfgGraph &G) {
   ReachInfo R;
   const std::vector<CfgNode> &Nodes = G.nodes();
   const uint32_t N = G.numNodes();
   R.Direct.assign(N, 0);
-  R.Ext.assign(N, 0);
   if (!N)
     return R;
 
-  ReachLattice L{&Nodes, false};
-  auto Direct = runDataflow(G, L, DataflowDir::Forward);
-  for (uint32_t I = 0; I < N; ++I)
-    if (Direct.Out[I]) {
-      R.Direct[I] = 1;
-      ++R.DirectCount;
-    }
-
-  // The hub fires at most once: if no direct-reachable node performs a
-  // computed transfer, the least fixpoint has no live indirect out at
-  // all (liveness of the hub is itself defined through reachability).
+  std::vector<uint32_t> Work{0};
+  R.Direct[0] = 1;
+  flood(G, R.Direct, Work);
   bool Hub = false;
-  for (uint32_t I = 0; I < N && !Hub; ++I)
-    Hub = R.Direct[I] && Nodes[I].IndirectOut;
-  if (!Hub) {
-    R.Ext = R.Direct;
-    R.ExtCount = R.DirectCount;
-    return R;
+  for (uint32_t I = 0; I < N; ++I) {
+    R.DirectCount += R.Direct[I];
+    Hub = Hub || (R.Direct[I] && Nodes[I].IndirectOut);
   }
+  R.Ext = R.Direct;
+  R.ExtCount = R.DirectCount;
+  if (!Hub)
+    return R;
 
-  L.HubLive = true;
-  auto Ext = runDataflow(G, L, DataflowDir::Forward);
+  // A live computed transfer may enter any bundle start; what those
+  // reach beyond the direct set is the rest of Ext.
   for (uint32_t I = 0; I < N; ++I)
-    if (Ext.Out[I]) {
+    if (!R.Ext[I] && Nodes[I].Begin % core::BundleSize == 0) {
       R.Ext[I] = 1;
+      Work.push_back(I);
+    }
+  flood(G, R.Ext, Work);
+  R.ExtCount = 0;
+  for (uint32_t I = 0; I < N; ++I)
+    if (R.Ext[I]) {
       ++R.ExtCount;
-      if (Nodes[I].IndirectOut)
-        ++R.LiveIndirectOuts;
+      R.LiveIndirectOuts += Nodes[I].IndirectOut;
     }
   return R;
 }
 
 std::vector<uint32_t> analysis::reachingMasks(const CfgGraph &G,
                                               const ReachInfo &R) {
-  GuardLattice L{&G.nodes(), R.LiveIndirectOuts > 0};
-  auto Res = runDataflow(G, L, DataflowDir::Forward);
-  return std::move(Res.Out);
+  const std::vector<CfgNode> &Nodes = G.nodes();
+  const uint32_t N = G.numNodes();
+  const bool Hub = R.LiveIndirectOuts > 0;
+  std::vector<uint32_t> In(N, kGuardUnknown), Out(N, kGuardUnknown);
+  for (uint32_t I = 0; I < N; ++I)
+    if (I == 0 || (Hub && Nodes[I].Begin % core::BundleSize == 0))
+      In[I] = kGuardNone;
+
+  // Each node pushes its Out into its successors' In. The address-order
+  // pass visits every node at or past Pass later, so only a lowered In
+  // below it (a back edge, or any edge once the pass is done) is queued.
+  // An In descends at most twice, which bounds the re-visits.
+  uint32_t Pass = 0;
+  std::vector<uint32_t> Back;
+  auto Visit = [&](uint32_t I) {
+    const CfgNode &Nd = Nodes[I];
+    uint32_t O = Nd.Kind == StepKind::MaskedJump ? Nd.Begin : In[I];
+    if (O == Out[I])
+      return;
+    Out[I] = O;
+    uint32_t Fan[2];
+    unsigned NS = G.succs(I, Fan);
+    for (unsigned S = 0; S < NS; ++S) {
+      uint32_t J = Fan[S], M = meetGuard(In[J], O);
+      if (M == In[J])
+        continue;
+      In[J] = M;
+      if (J < Pass)
+        Back.push_back(J);
+    }
+  };
+  while (Pass < N)
+    Visit(Pass++);
+  while (!Back.empty()) {
+    uint32_t I = Back.back();
+    Back.pop_back();
+    Visit(I);
+  }
+  return Out;
 }
 
 CallGraphInfo analysis::recoverCallGraph(const CfgGraph &G,
@@ -205,100 +182,41 @@ CallGraphInfo analysis::recoverCallGraph(const CfgGraph &G,
   std::sort(Entries.begin(), Entries.end());
   Entries.erase(std::unique(Entries.begin(), Entries.end()), Entries.end());
   const uint32_t P = uint32_t(Entries.size());
-  CG.ProcEntryNode = Entries;
-  CG.ProcOf.assign(N, 0);
-  for (uint32_t Pi = 0, I = 0; I < N; ++I) {
-    while (Pi + 1 < P && I >= Entries[Pi + 1])
-      ++Pi;
-    CG.ProcOf[I] = Pi;
-  }
+  CG.Procs = P;
 
-  // Proc-level edges: every CFG edge that crosses a procedure boundary
-  // (direct calls are target edges, so they are included).
-  std::vector<std::vector<uint32_t>> Adj(P);
-  uint32_t Fan[2];
-  for (uint32_t I = 0; I < N; ++I) {
-    unsigned NS = G.succs(I, Fan);
-    for (unsigned S = 0; S < NS; ++S)
-      if (CG.ProcOf[I] != CG.ProcOf[Fan[S]])
-        Adj[CG.ProcOf[I]].push_back(CG.ProcOf[Fan[S]]);
-  }
-
-  // Iterative Tarjan SCC over the proc graph.
-  CG.SccOf.assign(P, UINT32_MAX);
-  std::vector<uint32_t> Index(P, UINT32_MAX), Low(P, 0);
-  std::vector<uint8_t> OnStack(P, 0);
-  std::vector<uint32_t> Stack;
-  struct Frame {
-    uint32_t V;
-    uint32_t Edge;
+  // Depth-first over procedures. A procedure's out-edges are the CFG
+  // edges leaving its node range (direct calls are target edges, so
+  // they are included).
+  std::vector<uint8_t> Live(P, 0);
+  std::vector<uint32_t> Work;
+  auto Enter = [&](uint32_t Pi) {
+    if (!Live[Pi]) {
+      Live[Pi] = 1;
+      Work.push_back(Pi);
+    }
   };
-  std::vector<Frame> Frames;
-  uint32_t NextIdx = 0;
-  for (uint32_t Root = 0; Root < P; ++Root) {
-    if (Index[Root] != UINT32_MAX)
-      continue;
-    Index[Root] = Low[Root] = NextIdx++;
-    Stack.push_back(Root);
-    OnStack[Root] = 1;
-    Frames.push_back({Root, 0});
-    while (!Frames.empty()) {
-      Frame &F = Frames.back();
-      if (F.Edge < Adj[F.V].size()) {
-        uint32_t W = Adj[F.V][F.Edge++];
-        if (Index[W] == UINT32_MAX) {
-          Index[W] = Low[W] = NextIdx++;
-          Stack.push_back(W);
-          OnStack[W] = 1;
-          Frames.push_back({W, 0});
-        } else if (OnStack[W] && Index[W] < Low[F.V]) {
-          Low[F.V] = Index[W];
-        }
-      } else {
-        uint32_t V = F.V;
-        Frames.pop_back();
-        if (!Frames.empty() && Low[V] < Low[Frames.back().V])
-          Low[Frames.back().V] = Low[V];
-        if (Low[V] == Index[V]) {
-          uint32_t Scc = CG.NumSccs++;
-          for (;;) {
-            uint32_t W = Stack.back();
-            Stack.pop_back();
-            OnStack[W] = 0;
-            CG.SccOf[W] = Scc;
-            if (W == V)
-              break;
-          }
-        }
-      }
+  auto ProcOf = [&](uint32_t I) {
+    return uint32_t(std::upper_bound(Entries.begin(), Entries.end(), I) -
+                    Entries.begin() - 1);
+  };
+  Enter(0);
+  for (uint32_t Pi = 1; Pi < P; ++Pi)
+    if (R.Ext[Entries[Pi]])
+      Enter(Pi);
+  uint32_t Fan[2];
+  while (!Work.empty()) {
+    uint32_t Pi = Work.back();
+    Work.pop_back();
+    const uint32_t Begin = Entries[Pi], End = Pi + 1 < P ? Entries[Pi + 1] : N;
+    for (uint32_t I = Begin; I < End; ++I) {
+      unsigned NS = G.succs(I, Fan);
+      for (unsigned S = 0; S < NS; ++S)
+        if (Fan[S] < Begin || Fan[S] >= End)
+          Enter(ProcOf(Fan[S]));
     }
   }
-
-  // Interprocedural reachability over the condensation. Tarjan numbers
-  // SCCs in reverse topological order (cross-SCC edges go from a higher
-  // id to a lower one), so one descending sweep propagates everything.
-  std::vector<uint8_t> SccLive(CG.NumSccs, 0);
-  SccLive[CG.SccOf[CG.ProcOf[0]]] = 1;
-  for (uint32_t Pi = 0; Pi < P; ++Pi)
-    if (R.Ext[CG.ProcEntryNode[Pi]])
-      SccLive[CG.SccOf[Pi]] = 1;
-  std::vector<uint32_t> Order(P);
-  for (uint32_t Pi = 0; Pi < P; ++Pi)
-    Order[Pi] = Pi;
-  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
-    return CG.SccOf[A] > CG.SccOf[B];
-  });
-  for (uint32_t V : Order)
-    if (SccLive[CG.SccOf[V]])
-      for (uint32_t W : Adj[V])
-        SccLive[CG.SccOf[W]] = 1;
-
-  CG.ProcReachable.assign(P, 0);
-  for (uint32_t Pi = 0; Pi < P; ++Pi)
-    if (SccLive[CG.SccOf[Pi]]) {
-      CG.ProcReachable[Pi] = 1;
-      ++CG.ReachableProcs;
-    }
+  for (uint8_t L : Live)
+    CG.ReachableProcs += L;
   return CG;
 }
 
@@ -481,7 +399,7 @@ CfgLintResult analysis::lintCfg(RecoveredCfg &&Cfg, uint32_t Size,
   R.ReachableNodes = Reach.DirectCount;
   R.ExtReachableNodes = Reach.ExtCount;
   R.LiveIndirectOuts = Reach.LiveIndirectOuts;
-  R.Procs = uint32_t(CG.ProcEntryNode.size());
+  R.Procs = CG.Procs;
   R.ReachableProcs = CG.ReachableProcs;
   R.Reachable = std::move(Reach.Direct);
   R.ExtReachable = std::move(Reach.Ext);
@@ -834,7 +752,7 @@ IncrementalLinter::relint(incr::ImageId Id, const uint8_t *Code, uint32_t Size,
     for (size_t I = 0; I < NN; ++I) {
       if (I && LiveHub && P.NewNodes[I].Begin % core::BundleSize == 0) {
         Ext = 1;
-        Gd = GuardLattice::meet(Gd, kGuardNone);
+        Gd = meetGuard(Gd, kGuardNone);
       }
       NewExt[I] = Ext;
       NewGuard[I] = Gd;

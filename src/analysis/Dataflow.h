@@ -1,23 +1,24 @@
 //===- analysis/Dataflow.h - Whole-image dataflow over the CFG -*- C++ -*-===//
 ///
 /// \file
-/// A worklist fixpoint engine over the CFG that `analysis/CfgLint.h`
-/// recovers from the Figure-5 match chain, plus the concrete passes that
-/// turn the lint from single-pass heuristics into real static analysis:
+/// The whole-image passes over the CFG that `analysis/CfgLint.h`
+/// recovers from the Figure-5 match chain, each a direct walk over the
+/// nodes' successor edges:
 ///
 ///  * **extended reachability** — direct flow from the image entry plus
 ///    the computed-transfer closure (once any reachable node performs a
 ///    masked indirect transfer, every bundle start is a live target, so
-///    reachability must be iterated through that "hub" to a fixpoint);
+///    a second flood starts from every bundle start: the "hub");
 ///  * **indirect-target liveness** — how many live computed transfers
 ///    exist, which decides whether a direct-flow-unreachable bundle is
 ///    still enterable or genuinely dead;
 ///  * **reaching-mask analysis** — a forward must-analysis computing, per
 ///    node, the masked-pair guard that dominates it (or that no single
 ///    guard does), meeting in the unguarded indirect entry at every
-///    bundle start whenever a live indirect transfer exists;
-///  * **call-graph recovery** — procedures from direct-call targets,
-///    SCC-condensed call edges, and interprocedural reachability.
+///    bundle start whenever a live indirect transfer exists; one pass in
+///    address order, revisiting only what a back edge lowers;
+///  * **call-graph recovery** — procedures from direct-call targets and
+///    interprocedural reachability, a depth-first search over them.
 ///
 /// The same passes run over nodes recovered three ways — the sequential
 /// chain re-scan, the shard scan/merge bitmaps of `core::Shard`, and the
@@ -38,7 +39,6 @@
 #include "incr/IncrementalVerifier.h"
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -49,7 +49,7 @@ namespace analysis {
 // CFG adjacency
 //===----------------------------------------------------------------------===//
 
-/// Successor/predecessor structure over recovered nodes. Edges are the
+/// Successor structure over recovered nodes. Edges are the
 /// direct-flow edges of the lint CFG: fallthrough to the next node in
 /// address order, and the direct-branch edge when the target is a node
 /// start. Computed transfers contribute no edges here — the passes model
@@ -72,107 +72,23 @@ public:
   /// returns how many there are.
   unsigned succs(uint32_t I, uint32_t Out[2]) const;
 
-  /// Predecessors of node \p I (CSR form, built on construction).
-  std::pair<const uint32_t *, const uint32_t *> preds(uint32_t I) const {
-    return {PredLst.data() + PredOff[I], PredLst.data() + PredOff[I + 1]};
-  }
-
 private:
   const std::vector<CfgNode> *NodesRef;
-  std::vector<uint32_t> NodeAt;  ///< offset -> node index
-  std::vector<uint32_t> PredOff; ///< CSR offsets, numNodes()+1
-  std::vector<uint32_t> PredLst; ///< CSR predecessor lists
+  std::vector<uint32_t> NodeAt; ///< offset -> node index
 };
-
-//===----------------------------------------------------------------------===//
-// The generic worklist engine
-//===----------------------------------------------------------------------===//
-
-enum class DataflowDir : uint8_t { Forward, Backward };
-
-/// Fixpoint solution: per-node In/Out values and the number of transfer
-/// evaluations the worklist performed (an effort metric for tests).
-template <typename Lattice> struct DataflowResult {
-  std::vector<typename Lattice::Value> In, Out;
-  uint64_t Steps = 0;
-};
-
-/// Solves a dataflow problem over \p G to fixpoint. The lattice supplies
-///   Value   bottom()                     — the identity of join
-///   Value   boundary(uint32_t Node)      — extra In contribution (the
-///                                          entry seed / indirect entry)
-///   bool    join(Value &Dst, Value Src)  — Dst ⊔= Src, true iff changed
-///   Value   transfer(uint32_t N, Value)  — the node transfer function
-/// Direction selects which adjacency feeds In: predecessors' Out for
-/// Forward, successors' Out for Backward. Join may be a meet — the
-/// engine only requires monotonicity over a finite-height order.
-template <typename Lattice>
-DataflowResult<Lattice> runDataflow(const CfgGraph &G, Lattice &L,
-                                    DataflowDir Dir) {
-  const uint32_t N = G.numNodes();
-  DataflowResult<Lattice> R;
-  R.In.assign(N, L.bottom());
-  R.Out.assign(N, L.bottom());
-  if (!N)
-    return R;
-
-  std::deque<uint32_t> Work;
-  std::vector<uint8_t> Queued(N, 1);
-  for (uint32_t I = 0; I < N; ++I)
-    Work.push_back(Dir == DataflowDir::Forward ? I : N - 1 - I);
-
-  uint32_t Fan[2];
-  while (!Work.empty()) {
-    uint32_t I = Work.front();
-    Work.pop_front();
-    Queued[I] = 0;
-
-    typename Lattice::Value In = L.boundary(I);
-    if (Dir == DataflowDir::Forward) {
-      auto [P, E] = G.preds(I);
-      for (; P != E; ++P)
-        L.join(In, R.Out[*P]);
-    } else {
-      unsigned NS = G.succs(I, Fan);
-      for (unsigned S = 0; S < NS; ++S)
-        L.join(In, R.Out[Fan[S]]);
-    }
-    R.In[I] = In;
-    typename Lattice::Value Out = L.transfer(I, In);
-    ++R.Steps;
-    if (!L.join(R.Out[I], Out))
-      continue;
-    R.Out[I] = Out;
-
-    if (Dir == DataflowDir::Forward) {
-      unsigned NS = G.succs(I, Fan);
-      for (unsigned S = 0; S < NS; ++S)
-        if (!Queued[Fan[S]]) {
-          Queued[Fan[S]] = 1;
-          Work.push_back(Fan[S]);
-        }
-    } else {
-      auto [P, E] = G.preds(I);
-      for (; P != E; ++P)
-        if (!Queued[*P]) {
-          Queued[*P] = 1;
-          Work.push_back(*P);
-        }
-    }
-  }
-  return R;
-}
 
 //===----------------------------------------------------------------------===//
 // Concrete passes
 //===----------------------------------------------------------------------===//
 
-/// Extended reachability: Direct is the classic direct-flow DFS from
-/// node 0; Ext adds the computed-transfer closure (every bundle-start
-/// node becomes reachable once any ext-reachable node has an indirect
-/// out, iterated to fixpoint — one extra engine run suffices, since the
-/// hub fires at most once). LiveIndirectOuts counts the ext-reachable
-/// indirect transfers: the image's live computed-transfer sources.
+/// Extended reachability: Direct is the set a successor flood from
+/// node 0 marks; Ext adds the computed-transfer closure: once any
+/// direct-reachable node has an indirect out, a second flood marks
+/// everything reachable from a bundle-start node. The hub fires at most
+/// once, since with no direct-reachable indirect out no node is
+/// enterable by a computed transfer at all. LiveIndirectOuts counts the
+/// ext-reachable indirect transfers: the image's live computed-transfer
+/// sources.
 struct ReachInfo {
   std::vector<uint8_t> Direct;
   std::vector<uint8_t> Ext;
@@ -193,24 +109,23 @@ constexpr uint32_t kGuardMany = 0xFFFFFFFDu;    ///< conflicting guards meet
 /// installs its own Begin; everything else propagates), met across all
 /// paths. Whenever the image has a live indirect transfer, every bundle
 /// start additionally meets in kGuardNone — the unguarded computed
-/// entry. Every masked pair's own jump is guarded by its own mask by
-/// construction; the value is per-node metadata (surfaced through
-/// --lint-json) rather than a new diagnostic.
+/// entry. The meet order kGuardUnknown ⊒ {guards, kGuardNone} ⊒
+/// kGuardMany is finite and every value only descends, so one pass in
+/// address order plus re-visits of the nodes a back edge lowers reaches
+/// the maximal fixpoint. Every masked pair's own jump is guarded by its
+/// own mask by construction; the value is per-node metadata (surfaced
+/// through --lint-json) rather than a new diagnostic.
 std::vector<uint32_t> reachingMasks(const CfgGraph &G, const ReachInfo &R);
 
 /// Recovered call graph: procedures are the address partition induced by
 /// direct-call targets (plus the entry at offset 0); edges are direct
 /// calls and intraprocedural flow that crosses a procedure boundary
-/// (fallthrough or branch into another procedure's body). SCC
-/// condensation makes interprocedural reachability a DAG walk seeded at
-/// the entry procedure and at every procedure whose entry node is
-/// ext-reachable (computed transfers can enter any aligned procedure).
+/// (fallthrough or branch into another procedure's body). A depth-first
+/// search over procedures, seeded at the entry procedure and at every
+/// procedure whose entry node is ext-reachable (computed transfers can
+/// enter any aligned procedure), marks the interprocedurally live ones.
 struct CallGraphInfo {
-  std::vector<uint32_t> ProcEntryNode; ///< per proc: entry node index
-  std::vector<uint32_t> ProcOf;        ///< per node: owning proc
-  std::vector<uint32_t> SccOf;         ///< per proc: condensation id
-  std::vector<uint8_t> ProcReachable;  ///< per proc: interprocedurally live
-  uint32_t NumSccs = 0;
+  uint32_t Procs = 0;
   uint32_t ReachableProcs = 0;
 };
 

@@ -108,8 +108,7 @@ std::vector<uint8_t> re::serializeTables(
   if (!validTag(PolicySet))
     throw std::runtime_error("bad policy-set tag for table serialization");
 
-  std::vector<uint8_t> Out;
-  Out.insert(Out.end(), Magic, Magic + 4);
+  std::vector<uint8_t> Out(Magic, Magic + 4);
   putU32(Out, TableFormatVersion);
   putU32(Out, uint32_t(Tables.size()));
   Out.resize(PayloadOffset); // hash placeholder, filled below

@@ -1,9 +1,10 @@
 //===- tests/analysis_dataflow_test.cpp -----------------------*- C++ -*-===//
 //
-// Tests for the whole-image dataflow engine (analysis/Dataflow.h): the
-// generic worklist solver over hand-built graphs, the concrete passes
-// (extended reachability through the computed-transfer hub, reaching
-// masks, call-graph recovery), adversarial CFG shapes, and the contract
+// Tests for the lint's whole-image passes (analysis/Dataflow.h): the
+// successor walks over hand-built graphs, the passes observed through
+// lintImage (extended reachability through the computed-transfer hub,
+// reaching masks across back edges, call-graph liveness from dead and
+// computed entries), adversarial CFG shapes, and the contract
 // that all three lint front ends — sequential chain re-scan, shard
 // bitmaps, and the incremental linter's maintained chain — produce
 // bit-identical verdicts, with error-severity diagnostics never firing
@@ -19,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <initializer_list>
 
 using namespace rocksalt;
 using namespace rocksalt::analysis;
@@ -59,8 +62,9 @@ void expectLintEqual(const CfgLintResult &A, const CfgLintResult &B,
     EXPECT_EQ(X.Kind, Y.Kind) << What << " node " << I;
     EXPECT_EQ(X.Fallthrough, Y.Fallthrough) << What << " node " << I;
     EXPECT_EQ(X.HasTarget, Y.HasTarget) << What << " node " << I;
-    if (X.HasTarget && Y.HasTarget)
+    if (X.HasTarget && Y.HasTarget) {
       EXPECT_EQ(X.Target, Y.Target) << What << " node " << I;
+    }
     EXPECT_EQ(X.IndirectOut, Y.IndirectOut) << What << " node " << I;
     EXPECT_EQ(X.IsCall, Y.IsCall) << What << " node " << I;
   }
@@ -79,8 +83,8 @@ void expectLintEqual(const CfgLintResult &A, const CfgLintResult &B,
   EXPECT_EQ(A.render(), B.render()) << What;
 }
 
-/// Hand-built straight-line / branch nodes for engine unit tests (no
-/// image behind them; the engine only reads the edge-shape fields).
+/// Hand-built straight-line / branch nodes for graph-walk unit tests (no
+/// image behind them; the walks only read the edge-shape fields).
 CfgNode node(uint32_t Begin, uint32_t End, bool Fallthrough,
              bool HasTarget = false, uint32_t Target = 0) {
   CfgNode N;
@@ -94,30 +98,13 @@ CfgNode node(uint32_t Begin, uint32_t End, bool Fallthrough,
   return N;
 }
 
-/// Bit-set reach lattice: boundary seeds one node, join is OR, transfer
-/// is the identity — forward gives "reachable from seed", backward
-/// gives "can reach seed".
-struct SeedLattice {
-  using Value = uint8_t;
-  uint32_t Seed;
-  Value bottom() { return 0; }
-  Value boundary(uint32_t I) { return I == Seed ? 1 : 0; }
-  bool join(Value &Dst, Value Src) {
-    if ((Dst | Src) == Dst)
-      return false;
-    Dst |= Src;
-    return true;
-  }
-  Value transfer(uint32_t, Value In) { return In; }
-};
-
 //===----------------------------------------------------------------------===//
-// The generic engine
+// Graph walks over hand-built nodes
 //===----------------------------------------------------------------------===//
 
-TEST(DataflowEngine, ForwardReachOnDiamond) {
-  // 0 branches to 2 and falls through to 1; both rejoin at 2's
-  // fallthrough 3 — wait, diamond: 0 -> {1, 2} -> 3.
+TEST(CfgWalks, ForwardReachOnDiamond) {
+  // 0 branches to 2 and falls through to 1, which falls into 2; 2 falls
+  // through to 3.
   std::vector<CfgNode> Nodes = {
       node(0, 2, true, true, 4), // 0: jcc -> node 2, ft -> node 1
       node(2, 4, true),          // 1: ft -> node 2
@@ -125,17 +112,14 @@ TEST(DataflowEngine, ForwardReachOnDiamond) {
       node(6, 8, false),         // 3: terminal
   };
   CfgGraph G(Nodes, 8);
-  SeedLattice L{0};
-  DataflowResult<SeedLattice> R = runDataflow(G, L, DataflowDir::Forward);
-  EXPECT_EQ(R.Out, (std::vector<uint8_t>{1, 1, 1, 1}));
-  EXPECT_GE(R.Steps, 4u);
-
-  // Predecessors mirror the successor edges.
-  auto [P, E] = G.preds(2);
-  EXPECT_EQ(E - P, 2); // from 0 (branch) and 1 (fallthrough)
+  uint32_t Fan[2];
+  EXPECT_EQ(G.succs(0, Fan), 2u); // the fallthrough and the branch
+  ReachInfo R = reachability(G);
+  EXPECT_EQ(R.Direct, (std::vector<uint8_t>{1, 1, 1, 1}));
+  EXPECT_EQ(R.DirectCount, 4u);
 }
 
-TEST(DataflowEngine, ForwardReachSkipsDeadCode) {
+TEST(CfgWalks, ForwardReachSkipsDeadCode) {
   std::vector<CfgNode> Nodes = {
       node(0, 2, true),           // 0: ft -> 1
       node(2, 4, false, true, 6), // 1: jmp -> 3, no ft
@@ -143,29 +127,14 @@ TEST(DataflowEngine, ForwardReachSkipsDeadCode) {
       node(6, 8, false),          // 3: terminal
   };
   CfgGraph G(Nodes, 8);
-  SeedLattice L{0};
-  DataflowResult<SeedLattice> R = runDataflow(G, L, DataflowDir::Forward);
-  EXPECT_EQ(R.Out, (std::vector<uint8_t>{1, 1, 0, 1}));
+  ReachInfo R = reachability(G);
+  EXPECT_EQ(R.Direct, (std::vector<uint8_t>{1, 1, 0, 1}));
+  EXPECT_EQ(R.Ext, R.Direct); // no indirect out, so no hub
 }
 
-TEST(DataflowEngine, BackwardCanReachQuery) {
-  // Same graph: only node 2 itself "can reach node 2" — 1 jumps over it
-  // and nothing re-enters.
-  std::vector<CfgNode> Nodes = {
-      node(0, 2, true),
-      node(2, 4, false, true, 6),
-      node(4, 6, true),
-      node(6, 8, false),
-  };
-  CfgGraph G(Nodes, 8);
-  SeedLattice L{2};
-  DataflowResult<SeedLattice> R = runDataflow(G, L, DataflowDir::Backward);
-  EXPECT_EQ(R.Out, (std::vector<uint8_t>{0, 0, 1, 0}));
-}
-
-TEST(DataflowEngine, BranchToNonNodeStartContributesNoEdge) {
+TEST(CfgWalks, BranchToNonNodeStartContributesNoEdge) {
   // Target 3 is the interior of node 1: succs(0) must report only the
-  // fallthrough, and the fixpoint must not invent reachability.
+  // fallthrough, and the flood must not invent reachability.
   std::vector<CfgNode> Nodes = {
       node(0, 2, false, true, 3), // jmp into 1's interior, no ft
       node(2, 4, true),
@@ -175,19 +144,22 @@ TEST(DataflowEngine, BranchToNonNodeStartContributesNoEdge) {
   uint32_t Fan[2];
   EXPECT_EQ(G.succs(0, Fan), 0u);
   EXPECT_EQ(G.nodeAt(3), CfgGraph::kNoNode);
-  SeedLattice L{0};
-  DataflowResult<SeedLattice> R = runDataflow(G, L, DataflowDir::Forward);
-  EXPECT_EQ(R.Out, (std::vector<uint8_t>{1, 0, 0}));
+  ReachInfo R = reachability(G);
+  EXPECT_EQ(R.Direct, (std::vector<uint8_t>{1, 0, 0}));
 }
 
-TEST(DataflowEngine, EmptyGraph) {
+TEST(CfgWalks, EmptyGraph) {
   std::vector<CfgNode> Nodes;
   CfgGraph G(Nodes, 0);
-  SeedLattice L{0};
-  DataflowResult<SeedLattice> R = runDataflow(G, L, DataflowDir::Forward);
-  EXPECT_TRUE(R.In.empty());
-  EXPECT_TRUE(R.Out.empty());
-  EXPECT_EQ(R.Steps, 0u);
+  ReachInfo R = reachability(G);
+  EXPECT_TRUE(R.Direct.empty());
+  EXPECT_TRUE(R.Ext.empty());
+  EXPECT_EQ(R.DirectCount, 0u);
+  EXPECT_EQ(R.ExtCount, 0u);
+  EXPECT_TRUE(reachingMasks(G, R).empty());
+  CallGraphInfo CG = recoverCallGraph(G, R);
+  EXPECT_EQ(CG.Procs, 0u);
+  EXPECT_EQ(CG.ReachableProcs, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -229,10 +201,12 @@ TEST(DataflowPasses, HubClosureLiftsBundleStartsToExtReachable) {
   // transfer count.
   EXPECT_EQ(countKind(R, LintKind::DeadMaskedPair), 0u) << R.render();
   ASSERT_EQ(countKind(R, LintKind::UnreachableBundle), 2u) << R.render();
-  for (const LintDiag &D : R.Diags)
-    if (D.Kind == LintKind::UnreachableBundle)
+  for (const LintDiag &D : R.Diags) {
+    if (D.Kind == LintKind::UnreachableBundle) {
       EXPECT_NE(D.Detail.find("1 live computed transfer"), std::string::npos)
           << D.Detail;
+    }
+  }
 }
 
 TEST(DataflowPasses, NoLiveIndirectMeansDeadCodeNote) {
@@ -252,9 +226,11 @@ TEST(DataflowPasses, NoLiveIndirectMeansDeadCodeNote) {
   EXPECT_EQ(R.LiveIndirectOuts, 0u);
   EXPECT_EQ(R.ExtReachableNodes, R.ReachableNodes);
   ASSERT_EQ(countKind(R, LintKind::UnreachableBundle), 1u) << R.render();
-  for (const LintDiag &D : R.Diags)
-    if (D.Kind == LintKind::UnreachableBundle)
+  for (const LintDiag &D : R.Diags) {
+    if (D.Kind == LintKind::UnreachableBundle) {
       EXPECT_NE(D.Detail.find("dead code"), std::string::npos) << D.Detail;
+    }
+  }
 }
 
 TEST(DataflowPasses, ReachingMaskTracksGuardThenMeetsAtBundleStart) {
@@ -331,6 +307,53 @@ TEST(DataflowPasses, MutuallyRecursiveCallsCondenseToOneLiveScc) {
   EXPECT_EQ(R.Errors, 0u) << R.render();
   EXPECT_EQ(R.Procs, R.ReachableProcs) << R.render();
   EXPECT_GE(R.Procs, 2u);
+}
+
+TEST(DataflowPasses, ProceduresCalledOnlyFromDeadCodeStayDead) {
+  // Bundle 0 loops on itself; the procedures at 32 and 64 call each
+  // other and each jumps back to its own start, so nothing live enters
+  // either of them.
+  std::vector<uint8_t> Img(96, 0x90);
+  auto Put = [&](uint32_t At, std::initializer_list<uint8_t> Bytes) {
+    std::copy(Bytes.begin(), Bytes.end(), Img.begin() + At);
+  };
+  Put(30, {0xEB, 0xE0});                   // jmp 0
+  Put(32, {0xE8, 0x1B, 0x00, 0x00, 0x00}); // call 64
+  Put(62, {0xEB, 0xE0});                   // jmp 32
+  Put(64, {0xE8, 0xDB, 0xFF, 0xFF, 0xFF}); // call 32
+  Put(94, {0xEB, 0xE0});                   // jmp 64
+  ASSERT_TRUE(core::RockSalt().verify(Img));
+  CfgLintResult R = lintImage(tables(), Img);
+  EXPECT_EQ(R.Procs, 3u) << R.render();
+  EXPECT_EQ(R.ReachableProcs, 1u) << R.render();
+
+  // A live masked call makes every bundle start a computed entry, so
+  // both procedures are entered directly, not only through each other.
+  Put(0, {0x83, 0xE0, 0xE0, 0xFF, 0xD0}); // and eax, -32; call *eax
+  ASSERT_TRUE(core::RockSalt().verify(Img));
+  R = lintImage(tables(), Img);
+  EXPECT_EQ(R.LiveIndirectOuts, 1u);
+  EXPECT_EQ(R.Procs, 3u) << R.render();
+  EXPECT_EQ(R.ReachableProcs, 3u) << R.render();
+}
+
+TEST(DataflowPasses, BackEdgeBringsAConflictingGuardIntoTheLoopHeader) {
+  // The pair at 0 installs guard 0 and falls into the loop header at 5;
+  // the loop body's pair at 6 installs guard 6, and the jnz back to 5
+  // meets it with guard 0 there. The header only learns of guard 6
+  // through the back edge.
+  std::vector<uint8_t> Img = {0x83, 0xE0, 0xE0, 0xFF, 0xD0, // 0: and/call eax
+                              0x90,                         // 5: header
+                              0x83, 0xE1, 0xE0, 0xFF, 0xD1, // 6: and/call ecx
+                              0x75, 0xF8};                  // 11: jnz 5
+  Img.resize(32, 0x90);
+  ASSERT_TRUE(core::RockSalt().verify(Img));
+  CfgLintResult R = lintImage(tables(), Img);
+  ASSERT_GE(R.Guard.size(), 4u);
+  EXPECT_EQ(R.Guard[0], 0u);
+  EXPECT_EQ(R.Guard[1], kGuardMany);
+  EXPECT_EQ(R.Guard[2], 6u);
+  EXPECT_EQ(R.Guard[3], 6u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -617,8 +640,9 @@ TEST(LintProperty, ErrorsNeverFireOnAcceptedImages) {
     uint32_t SledAt = (uint32_t(Img.size()) / 2) & ~31u;
     IncrementalLinter::Summary S2 =
         F.patchAndCheck(SledAt, std::vector<uint8_t>(32, 0x90), "nop sled");
-    if (F.lastOk())
+    if (F.lastOk()) {
       EXPECT_EQ(S2.Errors, 0u) << "seed " << Seed;
+    }
   }
 }
 

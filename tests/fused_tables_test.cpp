@@ -161,8 +161,9 @@ TEST(FusedTables, PerPrefixMatchLockstep) {
       StepKind Fus = chainStep<X86Isa>(P, Img.data(), &FusPos, Size, &FusTgt);
       ASSERT_EQ(int(Fus), int(Leg)) << "step at " << Pos;
       ASSERT_EQ(FusPos, LegPos) << "step at " << Pos;
-      if (Leg == StepKind::DirectJump)
+      if (Leg == StepKind::DirectJump) {
         ASSERT_EQ(FusTgt, LegTgt) << "target at " << Pos;
+      }
     }
   }
 }

@@ -56,9 +56,10 @@ TEST(Corpus, EveryEntryIsVerdictAgreedByAllPaths) {
 
     // The name prefix pins the reference verdict for seeded entries.
     std::string Name = baseName(E.Path);
-    if (Name.rfind("accept-", 0) == 0)
+    if (Name.rfind("accept-", 0) == 0) {
       EXPECT_TRUE(Rep.Reference.Ok) << Name;
-    else if (Name.rfind("reject-", 0) == 0)
+    } else if (Name.rfind("reject-", 0) == 0) {
       EXPECT_FALSE(Rep.Reference.Ok) << Name;
+    }
   }
 }

@@ -190,9 +190,11 @@ TEST(Minimize, PreservesLanguageOnSampledRegexes) {
     // Language equality, decided exactly.
     EXPECT_FALSE(equivalenceWitness(D, Min).has_value());
     // And spot-checked on sampled members.
-    for (int K = 0; K < 50; ++K)
-      if (auto S = F.sampleBytes(R, Rng))
+    for (int K = 0; K < 50; ++K) {
+      if (auto S = F.sampleBytes(R, Rng)) {
         EXPECT_TRUE(accepts(Min, *S));
+      }
+    }
   }
 }
 

@@ -25,6 +25,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -258,8 +259,9 @@ TEST(ServiceTest, MalformedBodiesAnswerWithErrorResponse) {
   for (char Bad : {'A', 'g', ' '}) {
     std::string Hash(64, 'a');
     Hash[10] = Bad;
-    std::vector<uint8_t> Body = {64, 0, 0, 0};
-    Body.insert(Body.end(), Hash.begin(), Hash.end());
+    std::vector<uint8_t> Body(4 + Hash.size());
+    Body[0] = 64;
+    std::copy(Hash.begin(), Hash.end(), Body.begin() + 4);
     Frame R = dispatch(S, MsgKind::TablesRequest, Body);
     EXPECT_EQ(R.Kind, MsgKind::ErrorResponse) << "hash char " << int(Bad);
   }
